@@ -253,6 +253,7 @@ def test_criterion_9_certificates():
 
 
 def test_criterion_10_deterministic_reports():
+    import hashlib
     import json
 
     def document_bytes() -> bytes:
@@ -264,6 +265,10 @@ def test_criterion_10_deterministic_reports():
     second = document_bytes()
     assert first == second
     assert json.loads(first)["aggregate"]["failed"] == 0
+    # the max-order-16 document is pinned byte for byte
+    assert hashlib.sha256(first).hexdigest() == (
+        "4f929bbf882c50f064b9b042c1b8b444a3999eabaf4aa2cd1b72d29d1bf7a522"
+    )
     _report(
         f"ACCEPTANCE 10 PASS: consecutive catalog reports byte-identical "
         f"({len(first)} bytes)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,22 @@ def test_cli_check_json(tmp_path, capsys):
     assert doc["rings"][0]["spec"] == "Z/6"
     assert doc["rings"][0]["properties"]["von_neumann_regular"]["value"] is True
     assert doc["aggregate"]["failed"] == 0
+
+
+# SHA-256 of `ringlab check SPEC --json` at the default bounds: Z/200 runs
+# the sampled lattice paths, product(Z/8, Z/8) the over-bound skips
+CHECK_REPORT_DIGESTS = {
+    "Z/200": "b064050a684179de6f0c58d76d2a3825d2f9d2906b6ae2d1baf8776a9c3f510a",
+    "product(Z/8, Z/8)": "f8f071d78b7ac2774b48080a73f3dd405161fd77a61c456019e8e85ef41ff940",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CHECK_REPORT_DIGESTS))
+def test_cli_check_json_digest(tmp_path, capsys, spec):
+    path = tmp_path / "report.json"
+    assert main(["check", spec, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECK_REPORT_DIGESTS[spec]
 
 
 def test_cli_usage_errors(capsys):
