@@ -31,20 +31,17 @@ from .groebner import (
     ideal_member,
     normal_form,
     parse_poly,
-    poly_arith,
     radical_member,
 )
 from .ideals import (
     Ideal,
     all_ideals,
     annihilator,
-    ideal_algebra,
     ideal_from_generators,
     ideal_power,
     jacobson_radical,
     nilradical,
     power_intersection_hypothesis,
-    primality_tests,
     radical,
 )
 from .rings import (
@@ -83,7 +80,6 @@ __all__ = [
     "default_catalog",
     "example1_certificate",
     "find_isomorphism",
-    "ideal_algebra",
     "ideal_from_generators",
     "ideal_member",
     "ideal_power",
@@ -96,9 +92,7 @@ __all__ = [
     "npure_primes",
     "parse_poly",
     "parse_ring_spec",
-    "poly_arith",
     "power_intersection_hypothesis",
-    "primality_tests",
     "print_ring_spec",
     "pure_ideals",
     "pure_spectrum",

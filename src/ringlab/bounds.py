@@ -22,10 +22,11 @@ class Bounds:
              (spectra, localizations at primes, pure-ideal lists).
     element: element-level deciders (annihilator scans, purity tests).
     spp: brute-force pure-spectrum enumeration.
-    pair_checks: verification loops quantified over pairs of ideals.
+
+    Theorem checks quantified over pairs of ideals are further capped at
+    DEFAULT_PAIR_CHECK_BOUND, which has no flag.
     """
 
     lattice: int = DEFAULT_LATTICE_BOUND
     element: int = DEFAULT_ELEMENT_BOUND
     spp: int = DEFAULT_SPP_BOUND
-    pair_checks: int = DEFAULT_PAIR_CHECK_BOUND

@@ -8,6 +8,13 @@ All routines return a Verdict carrying a re-checkable witness; the
 harness cross-validates the families and treats any disagreement as a
 build-failing event.
 
+Most ring-level routes are rows ``_row(method, family, test)`` of
+PROPERTY_METHODS: one loop applies the test to each member of the family
+(ideals, annihilators, primes with their kernels and localizations) and
+reports the first failure.  The theorem checks are the ordered table
+THEOREM_CHECKS of ``(check, bound, requires, body)`` rows; a body returns
+None for a pass, a detail dict for a failure or a skip reason.
+
 An ideal I is *pure* when each a in I has b in I with a(1-b) = 0, and
 *N-pure* when a(1-b) only needs to be nilpotent.  The eight N-purity
 routes:
@@ -31,14 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 from . import specs
-from .bounds import Bounds
+from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds
 from .errors import OrderTooLarge
 from .ideals import (
     Ideal,
+    _purity_scan,
     all_ideals,
-    ideal_algebra,
+    ideal_intersection,
+    ideal_product,
+    ideal_sum,
     is_primary_ideal,
     jacobson_radical,
     nilradical,
@@ -46,8 +58,8 @@ from .ideals import (
     radical,
     zero_ideal,
 )
-from .rings import FiniteRing, bits, localize_at_mask, quotient_projection, quotient_ring, total_quotient_ring
-from .spectra import Spectrum, pure_ideals, pure_spectrum, spectrum
+from .rings import FiniteRing, bits, build, localize_at_mask, quotient_projection, quotient_ring
+from .spectra import PureSpectrum, Spectrum, pure_ideals, pure_spectrum, spectrum, vanishing_set
 
 
 @dataclass
@@ -126,8 +138,9 @@ class PropertyReport:
 class RingContext:
     """Per-ring cache of the expensive derived structures.
 
-    Lattice, spectrum, pure-ideal list, localizations and kernels are
-    computed at most once per ring; everything downstream reuses them.
+    Lattice, spectrum, pure-ideal list, pure spectrum, localizations and
+    kernels are computed at most once per ring; everything downstream
+    reuses them.
     """
 
     def __init__(self, ring: FiniteRing, bounds: Bounds | None = None):
@@ -140,6 +153,7 @@ class RingContext:
         self._lattice: list[Ideal] | None = None
         self._spectrum: Spectrum | None = None
         self._pure: list[Ideal] | None = None
+        self._pure_spectrum: PureSpectrum | None = None
         self._kernels: dict[int, Ideal] = {}
         self._localizations: dict[int, FiniteRing] = {}
         self._reduction: tuple[FiniteRing, list[int]] | None = None
@@ -160,6 +174,11 @@ class RingContext:
         if self._pure is None:
             self._pure = pure_ideals(self.ring, self.bounds.lattice)
         return self._pure
+
+    def pure_spectrum(self) -> PureSpectrum:
+        if self._pure_spectrum is None:
+            self._pure_spectrum = pure_spectrum(self.ring, self.bounds.spp, self.bounds.lattice)
+        return self._pure_spectrum
 
     def kernel(self, p: Ideal) -> Ideal:
         got = self._kernels.get(p.mask)
@@ -204,18 +223,11 @@ class RingContext:
                 masks = {1 << ring.zero, ring.nil_mask, self.jacobson().mask}
                 principals = sorted({ring.principal_mask(a) for a in range(ring.order)})
                 masks.update(principals)
-                add = ring.add_rows
-                for x, m1 in enumerate(principals):
-                    for m2 in principals[x + 1 :]:
-                        if m1 & ~m2 == 0 or m2 & ~m1 == 0:
-                            continue
-                        s = 0
-                        e2 = list(bits(m2))
-                        for a in bits(m1):
-                            row = add[a]
-                            for b in e2:
-                                s |= 1 << row[b]
-                        masks.add(s)
+                generated = [Ideal(ring, m) for m in principals]
+                for x, i in enumerate(generated):
+                    for j in generated[x + 1 :]:
+                        if not (i.contains_ideal(j) or j.contains_ideal(i)):
+                            masks.add(ideal_sum(i, j).mask)
                 ideals = [
                     Ideal(ring, m)
                     for m in sorted(masks, key=lambda m: (m.bit_count(), m))
@@ -224,49 +236,15 @@ class RingContext:
         return self._universe
 
 
-# -- shared scans --------------------------------------------------------
+# -- shared helpers ------------------------------------------------------
 
 
-def _pure_scan(ring: FiniteRing, mask: int) -> tuple[bool, list[list[int]] | int]:
-    """(True, [[a, b], ...]) with smallest witnesses, or (False, failing a)."""
-    mul = ring.mul_rows
-    add = ring.add_rows
-    neg = ring.neg_of
-    one = ring.one
-    zero = ring.zero
-    elems = list(bits(mask))
-    complements = [(b, add[one][neg[b]]) for b in elems]
-    choices = []
-    for a in elems:
-        row = mul[a]
-        for b, c in complements:
-            if row[c] == zero:
-                choices.append([a, b])
-                break
-        else:
-            return False, a
-    return True, choices
+def _is_pure(ring: FiniteRing, mask: int) -> bool:
+    return _purity_scan(ring, mask, ring.zero_set)[0]
 
 
-def _npure_scan(ring: FiniteRing, mask: int) -> tuple[bool, list[list[int]] | int]:
-    """Like _pure_scan but a(1-b) only needs to be nilpotent."""
-    mul = ring.mul_rows
-    add = ring.add_rows
-    neg = ring.neg_of
-    one = ring.one
-    nil = ring.nil_mask
-    elems = list(bits(mask))
-    complements = [(b, add[one][neg[b]]) for b in elems]
-    choices = []
-    for a in elems:
-        row = mul[a]
-        for b, c in complements:
-            if (nil >> row[c]) & 1:
-                choices.append([a, b])
-                break
-        else:
-            return False, a
-    return True, choices
+def _is_npure(ring: FiniteRing, mask: int) -> bool:
+    return _purity_scan(ring, mask, ring.nil_set)[0]
 
 
 def _mask_sum_has_one(ring: FiniteRing, m1: int, m2: int) -> tuple[bool, tuple[int, int] | None]:
@@ -296,18 +274,19 @@ def _min_power_killing(ring: FiniteRing, a: int, c: int) -> int:
 # -- purity deciders -----------------------------------------------------
 
 
+def _scan_verdict(method: str, ring: FiniteRing, mask: int, accepted, **named) -> Verdict:
+    """A purity scan as a verdict: the choices on a pass, the failing element
+    otherwise, next to the named sets."""
+    ok, data = _purity_scan(ring, mask, accepted)
+    return Verdict(method, ok, {**named, "choices" if ok else "element": data})
+
+
 def is_pure(ideal: Ideal) -> Verdict:
-    ok, data = _pure_scan(ideal.ring, ideal.mask)
-    if ok:
-        return Verdict("element_witness", True, {"choices": data})
-    return Verdict("element_witness", False, {"element": data})
+    return _scan_verdict("element_witness", ideal.ring, ideal.mask, ideal.ring.zero_set)
 
 
 def _npure_def(ctx: RingContext, ideal: Ideal) -> Verdict:
-    ok, data = _npure_scan(ctx.ring, ideal.mask)
-    if ok:
-        return Verdict("def", True, {"choices": data})
-    return Verdict("def", False, {"element": data})
+    return _scan_verdict("def", ctx.ring, ideal.mask, ctx.ring.nil_set)
 
 
 def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
@@ -375,17 +354,19 @@ def _npure_radical_formula(ctx: RingContext, ideal: Ideal) -> Verdict:
 
 def _npure_radical_npure(ctx: RingContext, ideal: Ideal) -> Verdict:
     rad = radical(ideal)
-    ok, data = _npure_scan(ctx.ring, rad.mask)
-    if ok:
-        return Verdict(
-            "radical_npure", True, {"radical": list(rad.elems), "choices": data}
-        )
-    return Verdict("radical_npure", False, {"radical": list(rad.elems), "element": data})
+    return _scan_verdict(
+        "radical_npure", ctx.ring, rad.mask, ctx.ring.nil_set, radical=list(rad.elems)
+    )
+
+
+def _pure_cores(ctx: RingContext, ideal: Ideal) -> list[Ideal]:
+    """The pure ideals with the same radical as the given one."""
+    rad = radical(ideal).mask
+    return [j for j in ctx.pure_list() if radical(j).mask == rad]
 
 
 def _npure_pure_core(ctx: RingContext, ideal: Ideal) -> Verdict:
-    rad = radical(ideal).mask
-    matches = [j for j in ctx.pure_list() if radical(j).mask == rad]
+    matches = _pure_cores(ctx, ideal)
     if len(matches) == 1:
         return Verdict("pure_core", True, {"core": list(matches[0].elems)})
     return Verdict(
@@ -400,10 +381,7 @@ def _npure_mod_nil(ctx: RingContext, ideal: Ideal) -> Verdict:
     image = 0
     for a in ideal.elems:
         image |= 1 << proj[a]
-    ok, data = _pure_scan(reduced, image)
-    if ok:
-        return Verdict("mod_nil", True, {"image": list(bits(image)), "choices": data})
-    return Verdict("mod_nil", False, {"image": list(bits(image)), "element": data})
+    return _scan_verdict("mod_nil", reduced, image, reduced.zero_set, image=list(bits(image)))
 
 
 def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
@@ -478,192 +456,228 @@ def classify_ideal(ctx: RingContext, ideal: Ideal) -> IdealClassification:
     return IdealClassification(ideal, is_pure(ideal), PropertyResult("npure", results))
 
 
-# -- ring-level deciders -------------------------------------------------
+# -- route families ------------------------------------------------------
 
 
-def _vnr_square_witness(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    mul = ring.mul_rows
-    choices = []
-    for a in range(ring.order):
-        sq = mul[a][a]
-        row = mul[sq]
-        found = None
-        for b in range(ring.order):
-            if row[b] == a:
-                found = b
-                break
-        if found is None:
-            return Verdict("square_witness", False, {"element": a})
-        choices.append([a, found])
-    return Verdict("square_witness", True, {"choices": choices})
+class Family(NamedTuple):
+    """What a family route quantifies over: members(ctx) yields (member,
+    subject) pairs, witness(member, subject, detail) names a failing one, and
+    summary(ctx) gives the witness of a pass and whether the family is a sample.
+    """
+
+    members: Callable[[RingContext], Iterable[tuple]]
+    witness: Callable[[object, object, dict], dict]
+    summary: Callable[[RingContext], tuple[dict | None, bool]] = lambda ctx: (None, False)
 
 
-def _vnr_all_ideals_pure(ctx: RingContext) -> Verdict:
-    ideals, sampled = ctx.ideal_universe()
-    for i in ideals:
-        ok, data = _pure_scan(ctx.ring, i.mask)
-        if not ok:
-            return Verdict(
-                "all_ideals_pure",
-                False,
-                {"ideal": list(i.elems), "element": data},
-                sampled,
-            )
-    return Verdict("all_ideals_pure", True, {"ideals_checked": len(ideals)}, sampled)
+def _named_ideal(i: Ideal, subject, detail: dict) -> dict:
+    return {"ideal": list(i.elems), **detail}
 
 
-def _vnr_principal_pure(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    for a in range(ring.order):
-        ok, data = _pure_scan(ring, ring.principal_mask(a))
-        if not ok:
-            return Verdict(
-                "principal_ideals_pure", False, {"generator": a, "element": data}
-            )
-    return Verdict("principal_ideals_pure", True)
-
-
-def _vnr_maximal_pure(ctx: RingContext) -> Verdict:
-    for m in ctx.spectrum().maximal:
-        ok, data = _pure_scan(ctx.ring, m.mask)
-        if not ok:
-            return Verdict(
-                "maximal_ideals_pure", False, {"ideal": list(m.elems), "element": data}
-            )
-    return Verdict("maximal_ideals_pure", True)
-
-
-def _vnr_kernel_equals_maximal(ctx: RingContext) -> Verdict:
-    for m in ctx.spectrum().maximal:
-        k = ctx.kernel(m)
-        if k.mask != m.mask:
-            return Verdict(
-                "kernel_equals_maximal",
-                False,
-                {"ideal": list(m.elems), "kernel": list(k.elems)},
-            )
-    return Verdict("kernel_equals_maximal", True)
-
-
-def _vnr_localizations_semiprimitive(ctx: RingContext) -> Verdict:
-    for p in ctx.spectrum().primes:
-        loc = ctx.localization(p)
-        if loc.jacobson_mask != 1 << loc.zero:
-            return Verdict(
-                "localizations_semiprimitive",
-                False,
-                {"ideal": list(p.elems), "local_jacobson": list(bits(loc.jacobson_mask))},
-            )
-    return Verdict("localizations_semiprimitive", True)
-
-
-def _vnr_spectrum_equals_pure_spectrum(ctx: RingContext) -> Verdict:
-    spp = pure_spectrum(ctx.ring, ctx.bounds.spp, ctx.bounds.lattice)
-    spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
-    spp_masks = sorted(p.mask for p in spp.members)
-    if spec_masks == spp_masks:
-        return Verdict("spectrum_equals_pure_spectrum", True)
-    return Verdict(
-        "spectrum_equals_pure_spectrum",
-        False,
-        {
-            "spectrum": [list(bits(m)) for m in spec_masks],
-            "pure_spectrum": [list(bits(m)) for m in spp_masks],
-        },
+def _spectrum_family(which: str, view: Callable, witness=_named_ideal) -> Family:
+    """Members of one spectrum list ("primes", "minimal" or "maximal"),
+    each with view(ctx, prime) as its subject."""
+    return Family(
+        lambda ctx: ((p, view(ctx, p)) for p in getattr(ctx.spectrum(), which)), witness
     )
 
 
-def _zdim_no_prime_chain(ctx: RingContext) -> Verdict:
-    primes = ctx.spectrum().primes
-    for p in primes:
-        for q in primes:
-            if p.mask != q.mask and q.contains_ideal(p):
-                return Verdict(
-                    "no_prime_chain",
-                    False,
-                    {"lower": list(p.elems), "upper": list(q.elems)},
-                )
-    return Verdict("no_prime_chain", True)
+def _kernel_mask(ctx: RingContext, p: Ideal) -> int:
+    return ctx.kernel(p).mask
 
 
-def _zdim_all_ideals_npure(ctx: RingContext) -> Verdict:
-    ideals, sampled = ctx.ideal_universe()
-    for i in ideals:
-        ok, data = _npure_scan(ctx.ring, i.mask)
-        if not ok:
-            return Verdict(
-                "all_ideals_npure",
-                False,
-                {"ideal": list(i.elems), "element": data},
-                sampled,
-            )
-    return Verdict("all_ideals_npure", True, {"ideals_checked": len(ideals)}, sampled)
+def _kernel_witness(p: Ideal, kernel: int, detail: dict) -> dict:
+    return {"ideal": list(p.elems), "kernel": list(bits(kernel)), **detail}
 
 
-def _zdim_principal_npure(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    for a in range(ring.order):
-        ok, data = _npure_scan(ring, ring.principal_mask(a))
-        if not ok:
-            return Verdict(
-                "principal_ideals_npure", False, {"generator": a, "element": data}
-            )
-    return Verdict("principal_ideals_npure", True)
+UNIVERSE = Family(
+    lambda ctx: ((i, i.mask) for i in ctx.ideal_universe()[0]),
+    _named_ideal,
+    lambda ctx: ({"ideals_checked": len(ctx.ideal_universe()[0])}, ctx.ideal_universe()[1]),
+)
+LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice()), _named_ideal)
+PRINCIPAL = Family(
+    lambda ctx: ((a, ctx.ring.principal_mask(a)) for a in range(ctx.ring.order)),
+    lambda a, mask, detail: {"generator": a, **detail},
+)
+ANNIHILATORS = Family(
+    lambda ctx: ((a, ctx.ring.ann_mask(a)) for a in range(ctx.ring.order)),
+    lambda a, mask, detail: {"element": a, "ann_element": detail["element"]},
+)
+# the same members, with each failing annihilator listed in the witness
+ANNIHILATOR_SETS = ANNIHILATORS._replace(
+    witness=lambda a, mask, detail: {
+        "element": a, "ann": list(bits(mask)), "ann_element": detail["element"]
+    }
+)
+JACOBSON = Family(
+    lambda ctx: [(ctx.jacobson(), ctx.jacobson().mask)],
+    lambda jac, mask, detail: {"jacobson": list(jac.elems), **detail},
+    lambda ctx: ({"jacobson": list(ctx.jacobson().elems)}, False),
+)
+PRIMES = _spectrum_family("primes", lambda ctx, p: p.mask)
+MINIMAL = _spectrum_family("minimal", lambda ctx, p: p.mask)
+MAXIMAL = _spectrum_family("maximal", lambda ctx, p: p.mask)
+KERNELS_AT_PRIMES = _spectrum_family("primes", _kernel_mask, _kernel_witness)
+KERNELS_AT_MINIMALS = _spectrum_family("minimal", _kernel_mask, _kernel_witness)
+LOCAL_AT_PRIMES = _spectrum_family("primes", lambda ctx, p: ctx.localization(p))
+LOCAL_AT_MAXIMALS = _spectrum_family("maximal", lambda ctx, p: ctx.localization(p))
 
 
-def _zdim_maximal_npure(ctx: RingContext) -> Verdict:
-    for m in ctx.spectrum().maximal:
-        ok, data = _npure_scan(ctx.ring, m.mask)
-        if not ok:
-            return Verdict(
-                "maximal_ideals_npure", False, {"ideal": list(m.elems), "element": data}
-            )
-    return Verdict("maximal_ideals_npure", True)
+def _first_failure(ctx: RingContext, family: Family, test) -> dict | None:
+    """The witness naming the first member that fails the test, or None."""
+    for member, subject in family.members(ctx):
+        detail = test(ctx, member, subject)
+        if detail is not None:
+            return family.witness(member, subject, detail)
+    return None
 
 
-def _zdim_kernel_radical(ctx: RingContext) -> Verdict:
-    for m in ctx.spectrum().maximal:
-        rad = radical(ctx.kernel(m))
-        if rad.mask != m.mask:
-            return Verdict(
-                "kernel_radical_equals_maximal",
-                False,
-                {"ideal": list(m.elems), "kernel_radical": list(rad.elems)},
-            )
-    return Verdict("kernel_radical_equals_maximal", True)
+def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext], Verdict]]:
+    """The route that applies a test to every member of a family."""
+
+    def route(ctx: RingContext) -> Verdict:
+        passed, sampled = family.summary(ctx)
+        failure = _first_failure(ctx, family, test)
+        if failure is None:
+            return Verdict(method, True, passed, sampled)
+        return Verdict(method, False, failure, sampled)
+
+    return method, route
 
 
-def _zdim_localizations_nj(ctx: RingContext, which: str) -> Verdict:
-    method = f"localizations_nj_at_{which}"
-    spec = ctx.spectrum()
-    targets = spec.primes if which == "primes" else spec.maximal
-    for p in targets:
-        loc = ctx.localization(p)
-        if loc.nil_mask != loc.jacobson_mask:
-            return Verdict(
-                method,
-                False,
-                {
-                    "ideal": list(p.elems),
-                    "local_nil": list(bits(loc.nil_mask)),
-                    "local_jacobson": list(bits(loc.jacobson_mask)),
-                },
-            )
-    return Verdict(method, True)
+# -- route tests: (ctx, member, subject) -> None on a pass, else detail ----
 
 
-def _mp_unique_minimal_below(ctx: RingContext) -> Verdict:
-    spec = ctx.spectrum()
-    for p in spec.primes:
-        below = [q for q in spec.minimal if p.contains_ideal(q)]
-        if len(below) != 1:
-            return Verdict(
-                "unique_minimal_below",
-                False,
-                {"ideal": list(p.elems), "minimal_below": [list(q.elems) for q in below]},
-            )
-    return Verdict("unique_minimal_below", True)
+def _pure(ctx: RingContext, member, mask: int) -> dict | None:
+    ok, data = _purity_scan(ctx.ring, mask, ctx.ring.zero_set)
+    return None if ok else {"element": data}
+
+
+def _npure(ctx: RingContext, member, mask: int) -> dict | None:
+    ok, data = _purity_scan(ctx.ring, mask, ctx.ring.nil_set)
+    return None if ok else {"element": data}
+
+
+def _scans_agree(ctx: RingContext, ideal: Ideal, mask: int) -> dict | None:
+    np_ok = _is_npure(ctx.ring, mask)
+    p_ok = _is_pure(ctx.ring, mask)
+    return None if np_ok == p_ok else {"npure": np_ok, "pure": p_ok}
+
+
+def _kernel_is_prime(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
+    k = ctx.kernel(p)
+    return None if k.mask == p.mask else {"kernel": list(k.elems)}
+
+
+def _kernel_radical_is_prime(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
+    rad = radical(ctx.kernel(p))
+    return None if rad.mask == p.mask else {"kernel_radical": list(rad.elems)}
+
+
+def _primary_pair(ideal: Ideal, key: str) -> dict | None:
+    """None for a primary ideal, else its failing pair under the given key."""
+    res = is_primary_ideal(ideal)
+    return None if res.value else {key: list(res.witness)}
+
+
+def _kernel_primary(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
+    return _primary_pair(ctx.kernel(p), "pair")
+
+
+def _one_minimal_below(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
+    below = [q for q in ctx.spectrum().minimal if p.contains_ideal(q)]
+    return None if len(below) == 1 else {"minimal_below": [list(q.elems) for q in below]}
+
+
+def _local_semiprimitive(ctx: RingContext, p: Ideal, loc: FiniteRing) -> dict | None:
+    if loc.jacobson_mask == 1 << loc.zero:
+        return None
+    return {"local_jacobson": list(bits(loc.jacobson_mask))}
+
+
+def _local_nj(ctx: RingContext, p: Ideal, loc: FiniteRing) -> dict | None:
+    if loc.nil_mask == loc.jacobson_mask:
+        return None
+    return {
+        "local_nil": list(bits(loc.nil_mask)),
+        "local_jacobson": list(bits(loc.jacobson_mask)),
+    }
+
+
+def _local_primary(ctx: RingContext, p: Ideal, loc: FiniteRing) -> dict | None:
+    return _primary_pair(zero_ideal(loc), "local_pair")
+
+
+# -- ring-level deciders outside the families ------------------------------
+
+
+def _choice_route(method: str, choose: Callable[[FiniteRing, int], int | None],
+                  named=lambda ring, a: {}):
+    """For every element a, choose(ring, a) finds its smallest witness, or None
+    when there is none; named(ring, a) adds to the witness of a failure."""
+
+    def route(ctx: RingContext) -> Verdict:
+        ring = ctx.ring
+        choices = []
+        for a in range(ring.order):
+            found = choose(ring, a)
+            if found is None:
+                return Verdict(method, False, {"element": a, **named(ring, a)})
+            choices.append([a, found])
+        return Verdict(method, True, {"choices": choices})
+
+    return method, route
+
+
+def _square_factor(ring: FiniteRing, a: int) -> int | None:
+    """The smallest b with a = a^2 b."""
+    row = ring.mul_rows[ring.mul_rows[a][a]]
+    return row.index(a) if a in row else None
+
+
+def _pure_annihilator_power(ring: FiniteRing, a: int) -> int | None:
+    """The smallest n with Ann(a^n) pure."""
+    power = a
+    for n in range(1, ring.ann_stable(a)[0] + 1):
+        if _is_pure(ring, ring.ann_mask(power)):
+            return n
+        power = ring.mul_rows[power][a]
+    return None
+
+
+def _idempotent_generator(ring: FiniteRing, a: int) -> int | None:
+    """The smallest idempotent e with Re = Ann(a)."""
+    ann = ring.ann_mask(a)
+    return next((e for e in ring.idempotents() if ring.principal_mask(e) == ann), None)
+
+
+def _spectra_difference(ctx: RingContext) -> dict | None:
+    """None when Spec = Spp, else both lists."""
+    spp_masks = sorted(p.mask for p in ctx.pure_spectrum().members)
+    spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
+    if spec_masks == spp_masks:
+        return None
+    return {
+        "spectrum": [list(bits(m)) for m in spec_masks],
+        "pure_spectrum": [list(bits(m)) for m in spp_masks],
+    }
+
+
+def _nested_route(method: str, differ: Callable[[RingContext, Ideal, Ideal], bool]):
+    """No primes p <= q (p = q included) for which differ(ctx, p, q) holds."""
+
+    def route(ctx: RingContext) -> Verdict:
+        primes = ctx.spectrum().primes
+        for p in primes:
+            for q in primes:
+                if q.contains_ideal(p) and differ(ctx, p, q):
+                    return Verdict(
+                        method, False, {"lower": list(p.elems), "upper": list(q.elems)}
+                    )
+        return Verdict(method, True)
+
+    return method, route
 
 
 def _zero_divisor_pairs(ring: FiniteRing):
@@ -676,368 +690,155 @@ def _zero_divisor_pairs(ring: FiniteRing):
                 yield a, b
 
 
-def _mp_zero_divisor_power_cover(ctx: RingContext) -> Verdict:
-    """ab = 0 implies Ann(a^n) + Ann(b^n) = R for some shared n."""
-    ring = ctx.ring
-    mul = ring.mul_rows
-    for a, b in _zero_divisor_pairs(ring):
-        if b < a:
-            continue  # symmetric condition
-        t = max(ring.ann_stable(a)[0], ring.ann_stable(b)[0])
-        pa, pb = a, b
-        found = None
-        for n in range(1, t + 1):
-            ok, pair = _mask_sum_has_one(ring, ring.ann_mask(pa), ring.ann_mask(pb))
-            if ok:
-                found = (n, pair[0], pair[1])
-                break
-            pa = mul[pa][a]
-            pb = mul[pb][b]
-        if found is None:
-            return Verdict("zero_divisor_power_cover", False, {"pair": [a, b]})
-    return Verdict("zero_divisor_power_cover", True)
+def _cover_route(method: str, both_powers: bool):
+    """ab = 0 implies Ann(a^n) + Ann(b^n) = R for some shared n (both_powers),
+    or Ann(a) + Ann(b^n) = R for some n."""
+
+    def route(ctx: RingContext) -> Verdict:
+        ring = ctx.ring
+        mul = ring.mul_rows
+        for a, b in _zero_divisor_pairs(ring):
+            if both_powers and b < a:
+                continue  # symmetric condition
+            t = ring.ann_stable(b)[0]
+            if both_powers:
+                t = max(ring.ann_stable(a)[0], t)
+            pa, pb = a, b
+            for _ in range(t):
+                if _mask_sum_has_one(ring, ring.ann_mask(pa), ring.ann_mask(pb))[0]:
+                    break
+                if both_powers:
+                    pa = mul[pa][a]
+                pb = mul[pb][b]
+            else:
+                return Verdict(method, False, {"pair": [a, b]})
+        return Verdict(method, True)
+
+    return method, route
 
 
-def _mp_minimal_primes_npure(ctx: RingContext) -> Verdict:
-    for p in ctx.spectrum().minimal:
-        ok, data = _npure_scan(ctx.ring, p.mask)
-        if not ok:
-            return Verdict(
-                "minimal_primes_npure", False, {"ideal": list(p.elems), "element": data}
-            )
-    return Verdict("minimal_primes_npure", True)
+def _npure_primes_difference(ctx: RingContext) -> dict | None:
+    """None when the N-pure primes are exactly the minimal ones.
+
+    N-pure forces minimal unconditionally; minimal forces N-pure under the
+    unique-minimal condition, so this is the necessary side of the mid
+    characterization."""
+    got = {p.mask for p in npure_primes(ctx)}
+    want = {p.mask for p in ctx.spectrum().minimal}
+    if got == want:
+        return None
+    return {"difference": [list(bits(m)) for m in sorted(got ^ want)]}
 
 
-def _mp_kernels_npure(ctx: RingContext, which: str) -> Verdict:
-    method = "minimal_kernels_npure" if which == "minimal" else "all_kernels_npure"
-    spec = ctx.spectrum()
-    targets = spec.minimal if which == "minimal" else spec.primes
-    for p in targets:
-        k = ctx.kernel(p)
-        ok, data = _npure_scan(ctx.ring, k.mask)
-        if not ok:
-            return Verdict(
-                method, False, {"ideal": list(p.elems), "kernel": list(k.elems), "element": data}
-            )
-    return Verdict(method, True)
+def _ring_route(method: str, check: Callable[[RingContext], dict | None]):
+    """A route on the whole ring: check(ctx) is None or the failure witness."""
+
+    def route(ctx: RingContext) -> Verdict:
+        failure = check(ctx)
+        return Verdict(method, failure is None, failure)
+
+    return method, route
 
 
-def _mid_annihilators_npure(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    for a in range(ring.order):
-        ok, data = _npure_scan(ring, ring.ann_mask(a))
-        if not ok:
-            return Verdict(
-                "annihilators_npure", False, {"element": a, "ann_element": data}
-            )
-    return Verdict("annihilators_npure", True)
+def _set_difference(left: int, right: int) -> dict | None:
+    """None when two element sets coincide, else the smallest element of one only."""
+    return None if left == right else {"element": next(bits(left ^ right))}
 
 
-def _mid_zero_divisor_mixed_cover(ctx: RingContext) -> Verdict:
-    """ab = 0 implies Ann(a) + Ann(b^n) = R for some n."""
-    ring = ctx.ring
-    mul = ring.mul_rows
-    for a, b in _zero_divisor_pairs(ring):
-        t = ring.ann_stable(b)[0]
-        ann_a = ring.ann_mask(a)
-        pb = b
-        found = None
-        for n in range(1, t + 1):
-            ok, pair = _mask_sum_has_one(ring, ann_a, ring.ann_mask(pb))
-            if ok:
-                found = (n, pair[0], pair[1])
-                break
-            pb = mul[pb][b]
-        if found is None:
-            return Verdict("zero_divisor_mixed_cover", False, {"pair": [a, b]})
-    return Verdict("zero_divisor_mixed_cover", True)
+def _pp_composite(method: str, part: str, decide: Callable[[RingContext], Verdict]):
+    """p.p. as the named route plus a regular total quotient ring; Q(R) = R
+    for finite rings, so the regularity is decided on R itself."""
+
+    def route(ctx: RingContext) -> Verdict:
+        inner = decide(ctx)
+        vnr = _SQUARE_WITNESS[1](ctx)
+        witness = {part: inner.value, "fractions_vnr": vnr.value}
+        if not inner.value:
+            witness[f"{part}_witness"] = inner.witness
+        if not vnr.value:
+            witness["vnr_witness"] = vnr.witness
+        return Verdict(method, inner.value and vnr.value, witness)
+
+    return method, route
 
 
-def _mid_localizations_primary(ctx: RingContext, which: str) -> Verdict:
-    method = f"localizations_primary_at_{which}"
-    spec = ctx.spectrum()
-    targets = spec.primes if which == "primes" else spec.maximal
-    for p in targets:
-        loc = ctx.localization(p)
-        res = is_primary_ideal(zero_ideal(loc))
-        if not res.value:
-            return Verdict(
-                method, False, {"ideal": list(p.elems), "local_pair": list(res.witness)}
-            )
-    return Verdict(method, True)
-
-
-def _mid_kernels_pure(ctx: RingContext, which: str) -> Verdict:
-    method = "kernels_pure_at_primes" if which == "primes" else "kernels_pure_at_minimals"
-    spec = ctx.spectrum()
-    targets = spec.primes if which == "primes" else spec.minimal
-    for p in targets:
-        k = ctx.kernel(p)
-        ok, data = _pure_scan(ctx.ring, k.mask)
-        if not ok:
-            return Verdict(
-                method, False, {"ideal": list(p.elems), "kernel": list(k.elems), "element": data}
-            )
-    return Verdict(method, True)
-
-
-def _mid_kernels_nested_equal(ctx: RingContext) -> Verdict:
-    primes = ctx.spectrum().primes
-    for p in primes:
-        for q in primes:
-            if q.contains_ideal(p):
-                kp, kq = ctx.kernel(p), ctx.kernel(q)
-                if kp.mask != kq.mask:
-                    return Verdict(
-                        "kernels_equal_when_nested",
-                        False,
-                        {"lower": list(p.elems), "upper": list(q.elems)},
-                    )
-    return Verdict("kernels_equal_when_nested", True)
-
-
-def _mid_kernels_primary(ctx: RingContext, which: str) -> Verdict:
-    method = (
-        "kernels_primary_at_primes" if which == "primes" else "kernels_primary_at_maximals"
-    )
-    spec = ctx.spectrum()
-    targets = spec.primes if which == "primes" else spec.maximal
-    for p in targets:
-        k = ctx.kernel(p)
-        res = is_primary_ideal(k)
-        if not res.value:
-            return Verdict(
-                method, False, {"ideal": list(p.elems), "pair": list(res.witness)}
-            )
-    return Verdict(method, True)
-
-
-def _mid_minimal_primes_exactly_npure(ctx: RingContext) -> Verdict:
-    """The N-pure primes are exactly the minimal ones.
-
-    This is the necessary side of the mid characterization (N-pure forces
-    minimal unconditionally; minimal forces N-pure under the unique-minimal
-    condition), kept as an independent cross-check route.
-    """
-    spec = ctx.spectrum()
-    npure_masks = {
-        p.mask for p in spec.primes if _npure_scan(ctx.ring, p.mask)[0]
-    }
-    minimal_masks = {p.mask for p in spec.minimal}
-    if npure_masks == minimal_masks:
-        return Verdict("minimal_primes_exactly_npure", True)
-    diff = npure_masks.symmetric_difference(minimal_masks)
-    return Verdict(
-        "minimal_primes_exactly_npure",
-        False,
-        {"difference": [list(bits(m)) for m in sorted(diff)]},
-    )
-
-
-def _reduced_no_nilpotents(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    nil = ring.nil_mask
-    if nil == 1 << ring.zero:
-        return Verdict("no_nilpotents", True)
-    witness = next(a for a in bits(nil) if a != ring.zero)
-    return Verdict("no_nilpotents", False, {"element": witness})
-
-
-def _reduced_npure_equals_pure(ctx: RingContext) -> Verdict:
-    for i in ctx.lattice():
-        np_ok = _npure_scan(ctx.ring, i.mask)[0]
-        p_ok = _pure_scan(ctx.ring, i.mask)[0]
-        if np_ok != p_ok:
-            return Verdict(
-                "npure_equals_pure_ideals",
-                False,
-                {"ideal": list(i.elems), "npure": np_ok, "pure": p_ok},
-            )
-    return Verdict("npure_equals_pure_ideals", True)
-
-
-def _semiprimitive_zero_jacobson(ctx: RingContext) -> Verdict:
-    jac = ctx.jacobson()
-    if jac.mask == 1 << ctx.ring.zero:
-        return Verdict("zero_jacobson", True)
-    witness = next(a for a in jac.elems if a != ctx.ring.zero)
-    return Verdict("zero_jacobson", False, {"element": witness})
-
-
-def _semiprimitive_jacobson_pure(ctx: RingContext) -> Verdict:
-    jac = ctx.jacobson()
-    ok, data = _pure_scan(ctx.ring, jac.mask)
-    if ok:
-        return Verdict("jacobson_pure", True, {"jacobson": list(jac.elems)})
-    return Verdict("jacobson_pure", False, {"jacobson": list(jac.elems), "element": data})
-
-
-def _nj_nil_equals_jacobson(ctx: RingContext) -> Verdict:
-    jac = ctx.jacobson()
-    nil = ctx.ring.nil_mask
-    if jac.mask == nil:
-        return Verdict("nil_equals_jacobson", True)
-    diff = jac.mask ^ nil
-    return Verdict("nil_equals_jacobson", False, {"element": next(bits(diff))})
-
-
-def _nj_jacobson_npure(ctx: RingContext) -> Verdict:
-    jac = ctx.jacobson()
-    ok, data = _npure_scan(ctx.ring, jac.mask)
-    if ok:
-        return Verdict("jacobson_npure", True, {"jacobson": list(jac.elems)})
-    return Verdict(
-        "jacobson_npure", False, {"jacobson": list(jac.elems), "element": data}
-    )
-
-
-def _primary_zero_ideal(ctx: RingContext) -> Verdict:
-    res = is_primary_ideal(zero_ideal(ctx.ring))
-    if res.value:
-        return Verdict("zero_ideal_primary", True)
-    return Verdict("zero_ideal_primary", False, {"pair": list(res.witness)})
-
-
-def _pf_annihilators_pure(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    for a in range(ring.order):
-        ok, data = _pure_scan(ring, ring.ann_mask(a))
-        if not ok:
-            return Verdict(
-                "annihilators_pure",
-                False,
-                {"element": a, "ann": list(bits(ring.ann_mask(a))), "ann_element": data},
-            )
-    return Verdict("annihilators_pure", True)
-
-
-def _gpf_annihilator_power_pure(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    mul = ring.mul_rows
-    choices = []
-    for a in range(ring.order):
-        t = ring.ann_stable(a)[0]
-        power = a
-        found = None
-        for n in range(1, t + 1):
-            if _pure_scan(ring, ring.ann_mask(power))[0]:
-                found = n
-                break
-            power = mul[power][a]
-        if found is None:
-            return Verdict("annihilator_power_pure", False, {"element": a})
-        choices.append([a, found])
-    return Verdict("annihilator_power_pure", True, {"choices": choices})
-
-
-def _pp_annihilators_idempotent(ctx: RingContext) -> Verdict:
-    ring = ctx.ring
-    idems = ring.idempotents()
-    choices = []
-    for a in range(ring.order):
-        ann = ring.ann_mask(a)
-        found = None
-        for e in idems:
-            if ring.principal_mask(e) == ann:
-                found = e
-                break
-        if found is None:
-            return Verdict(
-                "annihilators_idempotent_generated",
-                False,
-                {"element": a, "ann": list(bits(ann))},
-            )
-        choices.append([a, found])
-    return Verdict("annihilators_idempotent_generated", True, {"choices": choices})
-
-
-def _pp_mid_and_fractions_vnr(ctx: RingContext) -> Verdict:
-    """Composite route: the annihilator condition plus regularity of the
-    total quotient ring (which is the ring itself here)."""
-    mid = _mid_annihilators_npure(ctx)
-    q = total_quotient_ring(ctx.ring)
-    qctx = ctx if q is ctx.ring else RingContext(q, ctx.bounds)
-    vnr = _vnr_square_witness(qctx)
-    value = mid.value and vnr.value
-    witness = {"mid": mid.value, "fractions_vnr": vnr.value}
-    if not mid.value:
-        witness["mid_witness"] = mid.witness
-    if not vnr.value:
-        witness["vnr_witness"] = vnr.witness
-    return Verdict("mid_and_fractions_vnr", value, witness)
-
-
-def _pp_gpf_and_fractions_vnr(ctx: RingContext) -> Verdict:
-    gpf = _gpf_annihilator_power_pure(ctx)
-    q = total_quotient_ring(ctx.ring)
-    qctx = ctx if q is ctx.ring else RingContext(q, ctx.bounds)
-    vnr = _vnr_square_witness(qctx)
-    value = gpf.value and vnr.value
-    witness = {"gpf": gpf.value, "fractions_vnr": vnr.value}
-    if not gpf.value:
-        witness["gpf_witness"] = gpf.witness
-    if not vnr.value:
-        witness["vnr_witness"] = vnr.witness
-    return Verdict("gpf_and_fractions_vnr", value, witness)
-
+_SQUARE_WITNESS = _choice_route("square_witness", _square_factor)
+_ANNIHILATORS_NPURE = _row("annihilators_npure", ANNIHILATORS, _npure)
+_ANNIHILATOR_POWER_PURE = _choice_route("annihilator_power_pure", _pure_annihilator_power)
 
 PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     "reduced": [
-        ("no_nilpotents", _reduced_no_nilpotents),
-        ("npure_equals_pure_ideals", _reduced_npure_equals_pure),
+        _ring_route(
+            "no_nilpotents", lambda ctx: _set_difference(ctx.ring.nil_mask, 1 << ctx.ring.zero)
+        ),
+        _row("npure_equals_pure_ideals", LATTICE, _scans_agree),
     ],
     "semiprimitive": [
-        ("zero_jacobson", _semiprimitive_zero_jacobson),
-        ("jacobson_pure", _semiprimitive_jacobson_pure),
+        _ring_route(
+            "zero_jacobson", lambda ctx: _set_difference(ctx.jacobson().mask, 1 << ctx.ring.zero)
+        ),
+        _row("jacobson_pure", JACOBSON, _pure),
     ],
     "nj_ring": [
-        ("nil_equals_jacobson", _nj_nil_equals_jacobson),
-        ("jacobson_npure", _nj_jacobson_npure),
+        _ring_route(
+            "nil_equals_jacobson",
+            lambda ctx: _set_difference(ctx.jacobson().mask, ctx.ring.nil_mask),
+        ),
+        _row("jacobson_npure", JACOBSON, _npure),
     ],
     "von_neumann_regular": [
-        ("square_witness", _vnr_square_witness),
-        ("all_ideals_pure", _vnr_all_ideals_pure),
-        ("principal_ideals_pure", _vnr_principal_pure),
-        ("maximal_ideals_pure", _vnr_maximal_pure),
-        ("kernel_equals_maximal", _vnr_kernel_equals_maximal),
-        ("localizations_semiprimitive", _vnr_localizations_semiprimitive),
-        ("spectrum_equals_pure_spectrum", _vnr_spectrum_equals_pure_spectrum),
+        _SQUARE_WITNESS,
+        _row("all_ideals_pure", UNIVERSE, _pure),
+        _row("principal_ideals_pure", PRINCIPAL, _pure),
+        _row("maximal_ideals_pure", MAXIMAL, _pure),
+        _row("kernel_equals_maximal", MAXIMAL, _kernel_is_prime),
+        _row("localizations_semiprimitive", LOCAL_AT_PRIMES, _local_semiprimitive),
+        _ring_route("spectrum_equals_pure_spectrum", _spectra_difference),
     ],
     "zero_dimensional": [
-        ("no_prime_chain", _zdim_no_prime_chain),
-        ("all_ideals_npure", _zdim_all_ideals_npure),
-        ("principal_ideals_npure", _zdim_principal_npure),
-        ("maximal_ideals_npure", _zdim_maximal_npure),
-        ("kernel_radical_equals_maximal", _zdim_kernel_radical),
-        ("localizations_nj_at_primes", lambda ctx: _zdim_localizations_nj(ctx, "primes")),
-        ("localizations_nj_at_maximals", lambda ctx: _zdim_localizations_nj(ctx, "maximals")),
+        _nested_route("no_prime_chain", lambda ctx, p, q: p.mask != q.mask),
+        _row("all_ideals_npure", UNIVERSE, _npure),
+        _row("principal_ideals_npure", PRINCIPAL, _npure),
+        _row("maximal_ideals_npure", MAXIMAL, _npure),
+        _row("kernel_radical_equals_maximal", MAXIMAL, _kernel_radical_is_prime),
+        _row("localizations_nj_at_primes", LOCAL_AT_PRIMES, _local_nj),
+        _row("localizations_nj_at_maximals", LOCAL_AT_MAXIMALS, _local_nj),
     ],
     "mp_ring": [
-        ("unique_minimal_below", _mp_unique_minimal_below),
-        ("zero_divisor_power_cover", _mp_zero_divisor_power_cover),
-        ("minimal_primes_npure", _mp_minimal_primes_npure),
-        ("minimal_kernels_npure", lambda ctx: _mp_kernels_npure(ctx, "minimal")),
-        ("all_kernels_npure", lambda ctx: _mp_kernels_npure(ctx, "primes")),
+        _row("unique_minimal_below", PRIMES, _one_minimal_below),
+        _cover_route("zero_divisor_power_cover", both_powers=True),
+        _row("minimal_primes_npure", MINIMAL, _npure),
+        _row("minimal_kernels_npure", KERNELS_AT_MINIMALS, _npure),
+        _row("all_kernels_npure", KERNELS_AT_PRIMES, _npure),
     ],
     "mid_ring": [
-        ("annihilators_npure", _mid_annihilators_npure),
-        ("zero_divisor_mixed_cover", _mid_zero_divisor_mixed_cover),
-        ("localizations_primary_at_primes", lambda ctx: _mid_localizations_primary(ctx, "primes")),
-        ("localizations_primary_at_maximals", lambda ctx: _mid_localizations_primary(ctx, "maximals")),
-        ("kernels_pure_at_primes", lambda ctx: _mid_kernels_pure(ctx, "primes")),
-        ("kernels_pure_at_minimals", lambda ctx: _mid_kernels_pure(ctx, "minimals")),
-        ("kernels_equal_when_nested", _mid_kernels_nested_equal),
-        ("kernels_primary_at_primes", lambda ctx: _mid_kernels_primary(ctx, "primes")),
-        ("kernels_primary_at_maximals", lambda ctx: _mid_kernels_primary(ctx, "maximals")),
-        ("minimal_primes_exactly_npure", _mid_minimal_primes_exactly_npure),
+        _ANNIHILATORS_NPURE,
+        _cover_route("zero_divisor_mixed_cover", both_powers=False),
+        _row("localizations_primary_at_primes", LOCAL_AT_PRIMES, _local_primary),
+        _row("localizations_primary_at_maximals", LOCAL_AT_MAXIMALS, _local_primary),
+        _row("kernels_pure_at_primes", KERNELS_AT_PRIMES, _pure),
+        _row("kernels_pure_at_minimals", KERNELS_AT_MINIMALS, _pure),
+        _nested_route(
+            "kernels_equal_when_nested",
+            lambda ctx, p, q: ctx.kernel(p).mask != ctx.kernel(q).mask,
+        ),
+        _row("kernels_primary_at_primes", PRIMES, _kernel_primary),
+        _row("kernels_primary_at_maximals", MAXIMAL, _kernel_primary),
+        _ring_route("minimal_primes_exactly_npure", _npure_primes_difference),
     ],
-    "primary_ring": [("zero_ideal_primary", _primary_zero_ideal)],
-    "pf_ring": [("annihilators_pure", _pf_annihilators_pure)],
-    "gpf_ring": [("annihilator_power_pure", _gpf_annihilator_power_pure)],
+    "primary_ring": [
+        _ring_route("zero_ideal_primary", lambda ctx: _primary_pair(zero_ideal(ctx.ring), "pair"))
+    ],
+    "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, _pure)],
+    "gpf_ring": [_ANNIHILATOR_POWER_PURE],
     "pp_ring": [
-        ("annihilators_idempotent_generated", _pp_annihilators_idempotent),
-        ("mid_and_fractions_vnr", _pp_mid_and_fractions_vnr),
-        ("gpf_and_fractions_vnr", _pp_gpf_and_fractions_vnr),
+        _choice_route(
+            "annihilators_idempotent_generated",
+            _idempotent_generator,
+            lambda ring, a: {"ann": list(bits(ring.ann_mask(a)))},
+        ),
+        _pp_composite("mid_and_fractions_vnr", "mid", _ANNIHILATORS_NPURE[1]),
+        _pp_composite("gpf_and_fractions_vnr", "gpf", _ANNIHILATOR_POWER_PURE[1]),
     ],
 }
 
@@ -1092,12 +893,12 @@ def ring_class(ring: FiniteRing, prop: str, method: str | None = None,
 def npure_primes(ctx: RingContext) -> list[Ideal]:
     """Primes passing the N-purity def scan, sorted by mask."""
     return sorted(
-        (p for p in ctx.spectrum().primes if _npure_scan(ctx.ring, p.mask)[0]),
+        (p for p in ctx.spectrum().primes if _is_npure(ctx.ring, p.mask)),
         key=lambda p: p.mask,
     )
 
 
-# -- theorem-level checks -------------------------------------------------
+# -- theorem-level checks: (ctx, properties) -> None | detail | skip reason --
 
 
 def _agreed(report: dict[str, PropertyResult], name: str) -> bool | None:
@@ -1105,6 +906,208 @@ def _agreed(report: dict[str, PropertyResult], name: str) -> bool | None:
     if res is None or not res.consistent:
         return None
     return res.value
+
+
+def _mid_failure(ring: FiniteRing, bounds: Bounds) -> dict | None:
+    """The annihilators_npure route on any ring: its failure witness or None."""
+    return _first_failure(RingContext(ring, bounds), ANNIHILATORS, _npure)
+
+
+def _pure_ideals_npure(ctx: RingContext, props) -> dict | None:
+    """Every pure ideal is N-pure; so are its radical and the nilradical."""
+    ring = ctx.ring
+    for i in ctx.lattice():
+        if _is_pure(ring, i.mask):
+            if not _is_npure(ring, i.mask):
+                return {"ideal": list(i.elems)}
+            if not _is_npure(ring, radical(i).mask):
+                return {"ideal": list(i.elems), "radical": True}
+    if not _is_npure(ring, ring.nil_mask):
+        return {"nilradical": True}
+    return None
+
+
+def _reduced_iff_families_coincide(ctx: RingContext, props) -> dict | None:
+    reduced = ctx.ring.nil_mask == 1 << ctx.ring.zero
+    divergent = _first_failure(ctx, LATTICE, _scans_agree)
+    if (divergent is None) == reduced:
+        return None
+    detail = {"reduced": reduced, "families_coincide": divergent is None}
+    if divergent is not None:
+        detail["ideal"] = divergent["ideal"]
+    return detail
+
+
+def _powers_npure(ctx: RingContext, props) -> dict | None:
+    """N-pure exactly when every power is N-pure."""
+    ring = ctx.ring
+    for i in ctx.lattice():
+        base = _is_npure(ring, i.mask)
+        current = i
+        while True:
+            if _is_npure(ring, current.mask) != base:
+                return {"ideal": list(i.elems), "power": list(current.elems)}
+            nxt = ideal_product(current, i)
+            if nxt.mask == current.mask:
+                break
+            current = nxt
+    return None
+
+
+_IDEAL_OPERATIONS = (("sum", ideal_sum), ("product", ideal_product),
+                     ("intersection", ideal_intersection))
+
+
+def _npure_closure(ctx: RingContext, props) -> dict | None:
+    npure_ideals = [i for i in ctx.lattice() if _is_npure(ctx.ring, i.mask)]
+    for i in npure_ideals:
+        for j in npure_ideals:
+            for op, combine in _IDEAL_OPERATIONS:
+                if not _is_npure(ctx.ring, combine(i, j).mask):
+                    return {"left": list(i.elems), "right": list(j.elems), "op": op}
+    return None
+
+
+def _power_intersection_npure(ctx: RingContext, props) -> dict | None:
+    """R x^n meet I = x^n I for all x forces N-purity."""
+    for i in ctx.lattice():
+        if power_intersection_hypothesis(i)[0] and not _is_npure(ctx.ring, i.mask):
+            return {"ideal": list(i.elems)}
+    return None
+
+
+def _radical_formula_tracks(ctx: RingContext, props) -> dict | None:
+    """The annihilator-complement set is the radical exactly for N-pure ideals."""
+    for i in ctx.lattice():
+        matches = _radical_formula_mask(ctx, i) == radical(i).mask
+        if matches != _is_npure(ctx.ring, i.mask):
+            return {"ideal": list(i.elems), "formula_matches_radical": matches}
+    return None
+
+
+def _unique_pure_core(ctx: RingContext, props) -> dict | None:
+    for i in ctx.lattice():
+        if _is_npure(ctx.ring, i.mask):
+            count = len(_pure_cores(ctx, i))
+            if count != 1:
+                return {"ideal": list(i.elems), "count": count}
+    return None
+
+
+def _minimal_kernels(ctx: RingContext, props) -> dict | None:
+    """At a minimal prime the kernel's radical is the prime, the two have
+    the same vanishing set, and the kernel is primary."""
+    spec = ctx.spectrum()
+    for p in spec.minimal:
+        k = ctx.kernel(p)
+        named = {"prime": list(p.elems)}
+        if radical(k).mask != p.mask:
+            return {**named, "kernel": list(k.elems)}
+        if vanishing_set(k, spec) != vanishing_set(p, spec):
+            return {**named, "vanishing_differs": True}
+        if not is_primary_ideal(k).value:
+            return {**named, "kernel_not_primary": True}
+    return None
+
+
+def _vnr_iff_spectra_coincide(ctx: RingContext, props) -> dict | str | None:
+    same = _spectra_difference(ctx) is None
+    vnr = _agreed(props, "von_neumann_regular")
+    if vnr is None:
+        return "vnr verdict unavailable"
+    return None if same == vnr else {"vnr": vnr, "coincide": same}
+
+
+def _implies(src: str, dst: str):
+    def body(ctx: RingContext, props) -> dict | str | None:
+        a, b = _agreed(props, src), _agreed(props, dst)
+        if a is None or b is None:
+            return "verdict unavailable"
+        return {src: a, dst: b} if a and not b else None
+
+    return body
+
+
+def _mid_localizations(ctx: RingContext, props) -> dict | None:
+    for p in ctx.spectrum().primes:
+        failure = _mid_failure(ctx.localization(p), ctx.bounds)
+        if failure is not None:
+            return {"prime": list(p.elems), "element": failure["element"]}
+    return None
+
+
+def _mid_quotients(ctx: RingContext, props) -> dict | None:
+    ring = ctx.ring
+    for i in ctx.pure_list():
+        if not i.is_proper:
+            continue
+        q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
+        failure = _mid_failure(q, ctx.bounds)
+        if failure is not None:
+            return {"pure_ideal": list(i.elems), "element": failure["element"]}
+    return None
+
+
+def _product_mid(ctx: RingContext, props) -> dict | None:
+    whole = _mid_failure(ctx.ring, ctx.bounds) is None
+    factors = all(_mid_failure(build(f), ctx.bounds) is None for f in ctx.ring.spec.factors)
+    return None if whole == factors else {"product": whole, "factors": factors}
+
+
+def _gpf_localizations(ctx: RingContext, props) -> dict | None:
+    failure = _first_failure(ctx, LOCAL_AT_PRIMES, _local_primary)
+    if failure is None:
+        return None
+    return {"prime": failure["ideal"], "pair": failure["local_pair"]}
+
+
+def _pp_iff(via: str):
+    def body(ctx: RingContext, props) -> dict | str | None:
+        pp, mid, gpf = (_agreed(props, n) for n in ("pp_ring", "mid_ring", "gpf_ring"))
+        if pp is None or mid is None or gpf is None:
+            return "verdict unavailable"
+        other = mid if via == "mid" else gpf
+        vnr = _SQUARE_WITNESS[1](ctx).value  # Q(R) = R for finite rings
+        return None if pp == (other and vnr) else {"pp": pp, via: other, "fractions_vnr": vnr}
+
+    return body
+
+
+_LATTICE_BOUND = attrgetter("lattice")
+
+
+def _pair_bound(bounds: Bounds) -> int:
+    return min(DEFAULT_PAIR_CHECK_BOUND, bounds.lattice)
+
+
+# (check, bound, requires, body).  bound maps the Bounds to the largest
+# order the check runs at (None: any order).  requires is None, a property
+# alias the ring must be verified to have, or "product": the check exists
+# only for product specs.
+THEOREM_CHECKS = [
+    ("pure_ideals_are_npure", _LATTICE_BOUND, None, _pure_ideals_npure),
+    ("reduced_iff_npure_equals_pure", _LATTICE_BOUND, None, _reduced_iff_families_coincide),
+    ("npure_iff_every_power_npure", _pair_bound, None, _powers_npure),
+    ("npure_closed_under_sum_product_intersection", _pair_bound, None, _npure_closure),
+    ("power_intersection_implies_npure", _pair_bound, None, _power_intersection_npure),
+    ("radical_formula_tracks_npure", _pair_bound, None, _radical_formula_tracks),
+    ("unique_pure_core", _LATTICE_BOUND, None, _unique_pure_core),
+    ("minimal_kernel_radical_recovers_prime", _LATTICE_BOUND, None, _minimal_kernels),
+    ("vnr_iff_spectra_coincide", lambda b: min(b.spp, b.lattice), None,
+     _vnr_iff_spectra_coincide),
+    ("pf_implies_mid", None, None, _implies("pf_ring", "mid_ring")),
+    ("gpf_implies_mid", None, None, _implies("gpf_ring", "mid_ring")),
+    ("primary_implies_mid", None, None, _implies("primary_ring", "mid_ring")),
+    ("mid_implies_mp", None, None, _implies("mid_ring", "mp_ring")),
+    ("mid_localizations_are_mid", _LATTICE_BOUND, "mid", _mid_localizations),
+    ("quotients_by_pure_ideals_are_mid", _LATTICE_BOUND, "mid", _mid_quotients),
+    ("product_mid_iff_factors_mid", attrgetter("element"), "product", _product_mid),
+    ("gpf_localizations_are_primary", _LATTICE_BOUND, "gpf", _gpf_localizations),
+    ("pp_iff_mid_and_fractions_vnr", None, None, _pp_iff("mid")),
+    ("pp_iff_gpf_and_fractions_vnr", None, None, _pp_iff("gpf")),
+    ("npure_primes_equal_minimal", _LATTICE_BOUND, "mid",
+     lambda ctx, props: _npure_primes_difference(ctx)),
+]
 
 
 def verify_theorems(
@@ -1116,343 +1119,28 @@ def verify_theorems(
     (naming the bound), never silently passed.
     """
     ring = ctx.ring
-    checks: list[TheoremCheck] = []
     if properties is None:
         properties = {name: classify_property(ctx, name) for name in PROPERTY_ORDER}
-
-    def add(check: str, status: str, detail: dict | None = None) -> None:
-        checks.append(TheoremCheck(check, status, detail))
-
-    def guarded(check: str, bound: int, body) -> None:
-        if ring.order > bound:
-            add(check, "skipped", {"reason": f"order {ring.order} exceeds bound {bound}"})
-            return
-        try:
-            body()
-        except OrderTooLarge as exc:
-            add(check, "skipped", {"reason": str(exc)})
-
-    lattice_bound = ctx.bounds.lattice
-    pair_bound = min(ctx.bounds.pair_checks, lattice_bound)
-
-    # every pure ideal is N-pure; so are its radical and the nilradical
-    def pure_implies_npure():
-        for i in ctx.lattice():
-            if _pure_scan(ring, i.mask)[0]:
-                if not _npure_scan(ring, i.mask)[0]:
-                    add("pure_ideals_are_npure", "fail", {"ideal": list(i.elems)})
-                    return
-                if not _npure_scan(ring, radical(i).mask)[0]:
-                    add("pure_ideals_are_npure", "fail",
-                        {"ideal": list(i.elems), "radical": True})
-                    return
-        if not _npure_scan(ring, ring.nil_mask)[0]:
-            add("pure_ideals_are_npure", "fail", {"nilradical": True})
-            return
-        add("pure_ideals_are_npure", "pass")
-
-    guarded("pure_ideals_are_npure", lattice_bound, pure_implies_npure)
-
-    # reduced exactly when the N-pure and pure ideal families coincide
-    def reduced_iff():
-        reduced = ring.nil_mask == 1 << ring.zero
-        divergent = None
-        for i in ctx.lattice():
-            if _npure_scan(ring, i.mask)[0] != _pure_scan(ring, i.mask)[0]:
-                divergent = i
-                break
-        if (divergent is None) == reduced:
-            add("reduced_iff_npure_equals_pure", "pass")
+    checks: list[TheoremCheck] = []
+    for check, bound, requires, body in THEOREM_CHECKS:
+        if requires == "product" and not isinstance(ring.spec, specs.Product):
+            continue
+        limit = bound(ctx.bounds) if bound else None
+        if limit is not None and ring.order > limit:
+            outcome = f"order {ring.order} exceeds bound {limit}"
+        elif requires in PROPERTY_ALIASES and not _agreed(properties, PROPERTY_ALIASES[requires]):
+            outcome = f"ring not verified {requires}"
         else:
-            detail = {"reduced": reduced, "families_coincide": divergent is None}
-            if divergent is not None:
-                detail["ideal"] = list(divergent.elems)
-            add("reduced_iff_npure_equals_pure", "fail", detail)
-
-    guarded("reduced_iff_npure_equals_pure", lattice_bound, reduced_iff)
-
-    # N-pure exactly when every power is N-pure
-    def powers():
-        for i in ctx.lattice():
-            base = _npure_scan(ring, i.mask)[0]
-            current = i
-            while True:
-                if _npure_scan(ring, current.mask)[0] != base:
-                    add(
-                        "npure_iff_every_power_npure",
-                        "fail",
-                        {"ideal": list(i.elems), "power": list(current.elems)},
-                    )
-                    return
-                nxt = ideal_algebra(current, i, "product")
-                if nxt.mask == current.mask:
-                    break
-                current = nxt
-        add("npure_iff_every_power_npure", "pass")
-
-    guarded("npure_iff_every_power_npure", pair_bound, powers)
-
-    # N-purity is closed under sum, product and intersection
-    def closure():
-        lattice = ctx.lattice()
-        npure_ideals = [i for i in lattice if _npure_scan(ring, i.mask)[0]]
-        for i in npure_ideals:
-            for j in npure_ideals:
-                for op in ("sum", "product", "intersection"):
-                    combined = ideal_algebra(i, j, op)
-                    if not _npure_scan(ring, combined.mask)[0]:
-                        add(
-                            "npure_closed_under_sum_product_intersection",
-                            "fail",
-                            {"left": list(i.elems), "right": list(j.elems), "op": op},
-                        )
-                        return
-        add("npure_closed_under_sum_product_intersection", "pass")
-
-    guarded("npure_closed_under_sum_product_intersection", pair_bound, closure)
-
-    # R x^n meet I = x^n I for all x forces N-purity
-    def power_intersection():
-        for i in ctx.lattice():
-            holds, _ = power_intersection_hypothesis(i)
-            if holds and not _npure_scan(ring, i.mask)[0]:
-                add(
-                    "power_intersection_implies_npure",
-                    "fail",
-                    {"ideal": list(i.elems)},
-                )
-                return
-        add("power_intersection_implies_npure", "pass")
-
-    guarded("power_intersection_implies_npure", pair_bound, power_intersection)
-
-    # the annihilator-complement set describes the radical exactly for
-    # N-pure ideals, and the derived verdict matches the def route
-    def radical_formula():
-        for i in ctx.lattice():
-            formula = _radical_formula_mask(ctx, i)
-            matches = formula == radical(i).mask
-            if matches != _npure_scan(ring, i.mask)[0]:
-                add(
-                    "radical_formula_tracks_npure",
-                    "fail",
-                    {"ideal": list(i.elems), "formula_matches_radical": matches},
-                )
-                return
-        add("radical_formula_tracks_npure", "pass")
-
-    guarded("radical_formula_tracks_npure", pair_bound, radical_formula)
-
-    # each N-pure ideal shares its radical with exactly one pure ideal
-    def unique_core():
-        pures = ctx.pure_list()
-        for i in ctx.lattice():
-            if not _npure_scan(ring, i.mask)[0]:
-                continue
-            rad = radical(i).mask
-            matches = [j for j in pures if radical(j).mask == rad]
-            if len(matches) != 1:
-                add(
-                    "unique_pure_core",
-                    "fail",
-                    {"ideal": list(i.elems), "count": len(matches)},
-                )
-                return
-        add("unique_pure_core", "pass")
-
-    guarded("unique_pure_core", lattice_bound, unique_core)
-
-    # localization kernels at minimal primes: radical recovers the prime,
-    # same vanishing set, and the kernel is primary
-    def minimal_kernels():
-        spec = ctx.spectrum()
-        for p in spec.minimal:
-            k = ctx.kernel(p)
-            if radical(k).mask != p.mask:
-                add(
-                    "minimal_kernel_radical_recovers_prime",
-                    "fail",
-                    {"prime": list(p.elems), "kernel": list(k.elems)},
-                )
-                return
-            vk = {q.mask for q in spec.primes if q.contains_ideal(k)}
-            vp = {q.mask for q in spec.primes if q.contains_ideal(p)}
-            if vk != vp:
-                add(
-                    "minimal_kernel_radical_recovers_prime",
-                    "fail",
-                    {"prime": list(p.elems), "vanishing_differs": True},
-                )
-                return
-            if not is_primary_ideal(k).value:
-                add(
-                    "minimal_kernel_radical_recovers_prime",
-                    "fail",
-                    {"prime": list(p.elems), "kernel_not_primary": True},
-                )
-                return
-        add("minimal_kernel_radical_recovers_prime", "pass")
-
-    guarded("minimal_kernel_radical_recovers_prime", lattice_bound, minimal_kernels)
-
-    # regularity coincides with Spec = Spp
-    def spectra_coincide():
-        vnr = _agreed(properties, "von_neumann_regular")
-        spp = pure_spectrum(ring, ctx.bounds.spp, ctx.bounds.lattice)
-        spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
-        spp_masks = sorted(p.mask for p in spp.members)
-        same = spec_masks == spp_masks
-        if vnr is None:
-            add("vnr_iff_spectra_coincide", "skipped", {"reason": "vnr verdict unavailable"})
-        elif same == vnr:
-            add("vnr_iff_spectra_coincide", "pass")
+            try:
+                outcome = body(ctx, properties)
+            except OrderTooLarge as exc:
+                outcome = str(exc)
+        if outcome is None:
+            checks.append(TheoremCheck(check, "pass"))
+        elif isinstance(outcome, str):
+            checks.append(TheoremCheck(check, "skipped", {"reason": outcome}))
         else:
-            add("vnr_iff_spectra_coincide", "fail", {"vnr": vnr, "coincide": same})
-
-    guarded("vnr_iff_spectra_coincide", min(ctx.bounds.spp, lattice_bound), spectra_coincide)
-
-    # implications between the ring classes
-    for check, src, dst in (
-        ("pf_implies_mid", "pf_ring", "mid_ring"),
-        ("gpf_implies_mid", "gpf_ring", "mid_ring"),
-        ("primary_implies_mid", "primary_ring", "mid_ring"),
-        ("mid_implies_mp", "mid_ring", "mp_ring"),
-    ):
-        a = _agreed(properties, src)
-        b = _agreed(properties, dst)
-        if a is None or b is None:
-            add(check, "skipped", {"reason": "verdict unavailable"})
-        elif a and not b:
-            add(check, "fail", {src: a, dst: b})
-        else:
-            add(check, "pass")
-
-    # localizations of this (mid) ring stay mid; quotients by pure ideals too
-    def mid_localizations():
-        if _agreed(properties, "mid_ring") is not True:
-            add("mid_localizations_are_mid", "skipped", {"reason": "ring not verified mid"})
-            return
-        for p in ctx.spectrum().primes:
-            loc = ctx.localization(p)
-            for a in range(loc.order):
-                if not _npure_scan(loc, loc.ann_mask(a))[0]:
-                    add(
-                        "mid_localizations_are_mid",
-                        "fail",
-                        {"prime": list(p.elems), "element": a},
-                    )
-                    return
-        add("mid_localizations_are_mid", "pass")
-
-    guarded("mid_localizations_are_mid", lattice_bound, mid_localizations)
-
-    def mid_quotients():
-        if _agreed(properties, "mid_ring") is not True:
-            add("quotients_by_pure_ideals_are_mid", "skipped",
-                {"reason": "ring not verified mid"})
-            return
-        for i in ctx.pure_list():
-            if not i.is_proper:
-                continue
-            q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
-            for a in range(q.order):
-                if not _npure_scan(q, q.ann_mask(a))[0]:
-                    add(
-                        "quotients_by_pure_ideals_are_mid",
-                        "fail",
-                        {"pure_ideal": list(i.elems), "element": a},
-                    )
-                    return
-        add("quotients_by_pure_ideals_are_mid", "pass")
-
-    guarded("quotients_by_pure_ideals_are_mid", lattice_bound, mid_quotients)
-
-    # finite products are mid exactly when every factor is
-    def product_factors():
-        if not isinstance(ring.spec, specs.Product):
-            return
-        from .rings import build  # local import to avoid cycle at module load
-
-        whole = all(
-            _npure_scan(ring, ring.ann_mask(a))[0] for a in range(ring.order)
-        )
-        factors_mid = True
-        for fspec in ring.spec.factors:
-            f = build(fspec)
-            if not all(_npure_scan(f, f.ann_mask(a))[0] for a in range(f.order)):
-                factors_mid = False
-                break
-        if whole == factors_mid:
-            add("product_mid_iff_factors_mid", "pass")
-        else:
-            add(
-                "product_mid_iff_factors_mid",
-                "fail",
-                {"product": whole, "factors": factors_mid},
-            )
-
-    if isinstance(ring.spec, specs.Product):
-        guarded("product_mid_iff_factors_mid", ctx.bounds.element, product_factors)
-
-    # Gpf rings have primary localizations
-    def gpf_localizations():
-        if _agreed(properties, "gpf_ring") is not True:
-            add("gpf_localizations_are_primary", "skipped",
-                {"reason": "ring not verified gpf"})
-            return
-        for p in ctx.spectrum().primes:
-            loc = ctx.localization(p)
-            res = is_primary_ideal(zero_ideal(loc))
-            if not res.value:
-                add(
-                    "gpf_localizations_are_primary",
-                    "fail",
-                    {"prime": list(p.elems), "pair": list(res.witness)},
-                )
-                return
-        add("gpf_localizations_are_primary", "pass")
-
-    guarded("gpf_localizations_are_primary", lattice_bound, gpf_localizations)
-
-    # the p.p. routes agree with their composite characterizations
-    pp = _agreed(properties, "pp_ring")
-    mid = _agreed(properties, "mid_ring")
-    gpf = _agreed(properties, "gpf_ring")
-    vnr_q = _vnr_square_witness(ctx).value  # Q(R) = R for finite rings
-    if pp is None or mid is None or gpf is None:
-        add("pp_iff_mid_and_fractions_vnr", "skipped", {"reason": "verdict unavailable"})
-        add("pp_iff_gpf_and_fractions_vnr", "skipped", {"reason": "verdict unavailable"})
-    else:
-        add(
-            "pp_iff_mid_and_fractions_vnr",
-            "pass" if pp == (mid and vnr_q) else "fail",
-            None if pp == (mid and vnr_q) else {"pp": pp, "mid": mid, "fractions_vnr": vnr_q},
-        )
-        add(
-            "pp_iff_gpf_and_fractions_vnr",
-            "pass" if pp == (gpf and vnr_q) else "fail",
-            None if pp == (gpf and vnr_q) else {"pp": pp, "gpf": gpf, "fractions_vnr": vnr_q},
-        )
-
-    # on a mid ring the N-pure primes are exactly the minimal primes
-    def npure_primes_minimal():
-        if _agreed(properties, "mid_ring") is not True:
-            add("npure_primes_equal_minimal", "skipped",
-                {"reason": "ring not verified mid"})
-            return
-        got = {p.mask for p in npure_primes(ctx)}
-        want = {p.mask for p in ctx.spectrum().minimal}
-        if got == want:
-            add("npure_primes_equal_minimal", "pass")
-        else:
-            add(
-                "npure_primes_equal_minimal",
-                "fail",
-                {"difference": [list(bits(m)) for m in sorted(got ^ want)]},
-            )
-
-    guarded("npure_primes_equal_minimal", lattice_bound, npure_primes_minimal)
-
+            checks.append(TheoremCheck(check, "fail", outcome))
     return checks
 
 

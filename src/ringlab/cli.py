@@ -25,7 +25,6 @@ from .groebner import (
 )
 from .report import build_document, ring_report_dict, write_json_atomic
 from .rings import build
-from .spectra import pure_spectrum, spectrum
 from .specs import parse_ring_spec
 
 USAGE_ERROR = 2
@@ -124,8 +123,8 @@ def cmd_spectrum(args) -> int:
     spec = parse_ring_spec(args.spec)
     ring = build(spec)
     bounds = _bounds_from_args(args)
-    spect = spectrum(ring, bounds.lattice)
     ctx = RingContext(ring, bounds)
+    spect = ctx.spectrum()
 
     def fmt(ideals) -> str:
         return ", ".join("(" + " ".join(map(str, i.elems)) + ")" for i in ideals) or "-"
@@ -136,8 +135,7 @@ def cmd_spectrum(args) -> int:
     print(f"  maximal: {fmt(spect.maximal)}")
     print(f"  npure  : {fmt(npure_primes(ctx))}")
     if ring.order <= bounds.spp:
-        spp = pure_spectrum(ring, bounds.spp, bounds.lattice)
-        print(f"  spp    : {fmt(spp.members)}")
+        print(f"  spp    : {fmt(ctx.pure_spectrum().members)}")
     else:
         print(f"  spp    : skipped (order {ring.order} exceeds spp bound {bounds.spp})")
     return 0

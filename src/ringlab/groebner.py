@@ -236,19 +236,6 @@ def normal_form(f: PolyFp, gs: list[PolyFp], order: MonomialOrder) -> PolyFp:
     return PolyFp(p, f.vars, remainder)
 
 
-def poly_arith(f: PolyFp, g, op: str, order: MonomialOrder = LEX):
-    """add / sub / mul of two polynomials, or normal_form against a list."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "normal_form":
-        return normal_form(f, list(g), order)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def s_polynomial(f: PolyFp, g: PolyFp, order: MonomialOrder) -> PolyFp:
     mf, cf = f.leading(order)
     mg, cg = g.leading(order)

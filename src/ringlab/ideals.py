@@ -75,31 +75,12 @@ class Ideal:
         return tuple(gens) if gens else (ring.zero,)
 
 
-def validate_ideal(ideal: Ideal) -> None:
-    """Assert the ideal axioms on the mask (test helper)."""
-    ring = ideal.ring
-    mask = ideal.mask
-    assert (mask >> ring.zero) & 1, "ideal must contain zero"
-    for a in ideal.elems:
-        assert (mask >> ring.neg_of[a]) & 1, f"not closed under negation at {a}"
-        row_add = ring.add_rows[a]
-        for b in ideal.elems:
-            assert (mask >> row_add[b]) & 1, f"not closed under addition at {a}+{b}"
-        row_mul = ring.mul_rows[a]
-        for r in range(ring.order):
-            assert (mask >> row_mul[r]) & 1, f"not closed under multiplication at {r}*{a}"
-
-
 def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, 1 << ring.zero)
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, (1 << ring.order) - 1)
-
-
-def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
-    return Ideal(ring, ring.principal_mask(a))
 
 
 def ideal_from_generators(ring: FiniteRing, gens) -> Ideal:
@@ -149,32 +130,29 @@ def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(i.ring, i.mask & j.mask)
 
 
-def ideal_algebra(i: Ideal, j: Ideal, op: str) -> Ideal:
-    if op == "sum":
-        return ideal_sum(i, j)
-    if op == "product":
-        return ideal_product(i, j)
-    if op == "intersection":
-        return ideal_intersection(i, j)
-    raise ValueError(f"unknown ideal operation {op!r}")
+def _purity_scan(
+    ring: FiniteRing, mask: int, accepted: frozenset[int]
+) -> tuple[bool, list[list[int]] | int]:
+    """Whether every a in the set has b there with a(1-b) in `accepted`.
 
-
-def sum_is_unit(i: Ideal, j: Ideal) -> tuple[bool, tuple[int, int] | None]:
-    """Whether I + J = R, with a witness pair u in I, v in J, u+v = 1.
-
-    Cheaper than materializing the sum: 1 in I+J iff some u in I has
-    1 - u in J.
-    """
-    ring = i.ring
-    one = ring.one
+    `accepted` is ring.zero_set for purity and ring.nil_set for N-purity.
+    Returns (True, [[a, b], ...]) with the smallest b for each a, or
+    (False, the first a without one)."""
+    mul = ring.mul_rows
+    to_one = ring.add_rows[ring.one]
     neg = ring.neg_of
-    add = ring.add_rows
-    jm = j.mask
-    for u in i.elems:
-        v = add[one][neg[u]]
-        if (jm >> v) & 1:
-            return True, (u, v)
-    return False, None
+    elems = list(bits(mask))
+    complements = [(b, to_one[neg[b]]) for b in elems]
+    choices = []
+    for a in elems:
+        row = mul[a]
+        for b, c in complements:
+            if row[c] in accepted:
+                choices.append([a, b])
+                break
+        else:
+            return False, a
+    return True, choices
 
 
 def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
@@ -317,16 +295,6 @@ def is_maximal_ideal(
                 return PrimalityResult(False, tuple(j.elems))
         return PrimalityResult(True)
     return PrimalityResult(ring.is_maximal_mask(i.mask))
-
-
-def primality_tests(i: Ideal, kind: str, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> PrimalityResult:
-    if kind == "prime":
-        return is_prime_ideal(i)
-    if kind == "primary":
-        return is_primary_ideal(i)
-    if kind == "maximal":
-        return is_maximal_ideal(i, lattice_bound)
-    raise ValueError(f"unknown primality kind {kind!r}")
 
 
 def nilradical(ring: FiniteRing) -> Ideal:

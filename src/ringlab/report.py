@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-from .bounds import Bounds
+from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds
 from .classify import (
     IdealClassification,
     PropertyReport,
@@ -195,7 +195,7 @@ def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
                 "lattice": bounds.lattice,
                 "element": bounds.element,
                 "spp": bounds.spp,
-                "pair_checks": bounds.pair_checks,
+                "pair_checks": DEFAULT_PAIR_CHECK_BOUND,
             },
         },
     }

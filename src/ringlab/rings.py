@@ -167,6 +167,10 @@ class FiniteRing:
         self._nil_mask: int | None = None
         self._unit_mask: int | None = None
         self._jac_mask: int | None = None
+        self._idempotents: list[int] | None = None
+        self._nil_set: frozenset[int] | None = None
+        # {0} as a set: the accepted values of a(1-b) in a purity scan
+        self.zero_set = frozenset((zero,))
 
     # -- presentation -------------------------------------------------
 
@@ -250,6 +254,13 @@ class FiniteRing:
         return self._nil_mask
 
     @property
+    def nil_set(self) -> frozenset[int]:
+        """The nilradical as a set: the accepted values of an N-purity scan."""
+        if self._nil_set is None:
+            self._nil_set = frozenset(bits(self.nil_mask))
+        return self._nil_set
+
+    @property
     def unit_mask(self) -> int:
         if self._unit_mask is None:
             one = self.one
@@ -279,7 +290,9 @@ class FiniteRing:
         return self._jac_mask
 
     def idempotents(self) -> list[int]:
-        return [a for a in range(self.order) if self.mul_rows[a][a] == a]
+        if self._idempotents is None:
+            self._idempotents = [a for a in range(self.order) if self.mul_rows[a][a] == a]
+        return self._idempotents
 
     def principal_mask(self, a: int) -> int:
         """Bitmask of the principal ideal R*a."""
@@ -494,20 +507,18 @@ def quotient_ring(inner: FiniteRing, ideal_mask: int, spec: specs.RingSpec) -> F
     """The ring of cosets modulo an ideal given as a bitmask."""
     if (ideal_mask >> inner.one) & 1:
         raise NotARing("quotient by the unit ideal is the zero ring")
-    ideal_elems = list(bits(ideal_mask))
-    add = inner.add_rows
-    rep = [min(add[a][i] for i in ideal_elems) for a in range(inner.order)]
-    reps = sorted(set(rep))
-    new_index = {r: k for k, r in enumerate(reps)}
-    n = len(reps)
+    proj = quotient_projection(inner, ideal_mask)
+    n = max(proj) + 1
+    reps = [proj.index(k) for k in range(n)]
     qadd = np.zeros((n, n), dtype=np.int32)
     qmul = np.zeros((n, n), dtype=np.int32)
+    add = inner.add_rows
     mul = inner.mul_rows
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
-            qadd[i, j] = new_index[rep[add[a][b]]]
-            qmul[i, j] = new_index[rep[mul[a][b]]]
-    return FiniteRing(qadd, qmul, one=new_index[rep[inner.one]], spec=spec)
+            qadd[i, j] = proj[add[a][b]]
+            qmul[i, j] = proj[mul[a][b]]
+    return FiniteRing(qadd, qmul, one=proj[inner.one], spec=spec)
 
 
 def quotient_projection(inner: FiniteRing, ideal_mask: int) -> list[int]:
@@ -515,9 +526,8 @@ def quotient_projection(inner: FiniteRing, ideal_mask: int) -> list[int]:
     ideal_elems = list(bits(ideal_mask))
     add = inner.add_rows
     rep = [min(add[a][i] for i in ideal_elems) for a in range(inner.order)]
-    reps = sorted(set(rep))
-    new_index = {r: k for k, r in enumerate(reps)}
-    return [new_index[rep[a]] for a in range(inner.order)]
+    new_index = {r: k for k, r in enumerate(sorted(set(rep)))}
+    return [new_index[r] for r in rep]
 
 
 def _build_quotient(spec: specs.Quotient) -> FiniteRing:

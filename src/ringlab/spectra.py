@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .bounds import DEFAULT_LATTICE_BOUND, DEFAULT_SPP_BOUND
 from .errors import NotPrime, OrderTooLarge
-from .ideals import Ideal, all_ideals, ideal_product, is_prime_ideal
+from .ideals import Ideal, _purity_scan, all_ideals, ideal_product, is_prime_ideal
 from .rings import FiniteRing, bits
 
 
@@ -52,27 +52,10 @@ def vanishing_set(i: Ideal, spec: Spectrum) -> list[Ideal]:
     return sorted((p for p in spec.primes if p.contains_ideal(i)), key=lambda p: p.mask)
 
 
-def is_pure_mask(ring: FiniteRing, mask: int) -> tuple[bool, int | None]:
-    """Element-wise purity: every a in the set has b there with a(1-b) = 0.
-
-    Returns (verdict, failing a)."""
-    mul = ring.mul_rows
-    add = ring.add_rows
-    neg = ring.neg_of
-    one = ring.one
-    zero = ring.zero
-    elems = list(bits(mask))
-    complements = [add[one][neg[b]] for b in elems]
-    for a in elems:
-        row = mul[a]
-        if not any(row[c] == zero for c in complements):
-            return False, a
-    return True, None
-
-
 def pure_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
     """All ideals passing the element-wise purity test."""
-    return [i for i in all_ideals(ring, lattice_bound) if is_pure_mask(ring, i.mask)[0]]
+    lattice = all_ideals(ring, lattice_bound)
+    return [i for i in lattice if _purity_scan(ring, i.mask, ring.zero_set)[0]]
 
 
 @dataclass
@@ -94,7 +77,7 @@ def pure_spectrum(
             f"order {ring.order} exceeds pure-spectrum bound {spp_bound}"
         )
     lattice = all_ideals(ring, max(lattice_bound, spp_bound))
-    pures = [i for i in lattice if is_pure_mask(ring, i.mask)[0]]
+    pures = [i for i in lattice if _purity_scan(ring, i.mask, ring.zero_set)[0]]
     pure_products = [
         (i, j, ideal_product(i, j)) for i in pures for j in pures
     ]

@@ -17,7 +17,15 @@ from ringlab.classify import (
     classify_property,
     classify_ring,
 )
-from ringlab.ideals import all_ideals, ideal_algebra, ideal_from_generators, radical
+from ringlab.ideals import (
+    _purity_scan,
+    all_ideals,
+    ideal_from_generators,
+    ideal_intersection,
+    ideal_product,
+    ideal_sum,
+    radical,
+)
 from ringlab.rings import build, find_isomorphism
 from ringlab.report import build_document, dumps_document
 from ringlab.spectra import ker_pi, pure_spectrum, spectrum
@@ -32,6 +40,14 @@ EXPECTED_METHOD_COUNTS = {
     "mid_ring": 10,
     "pp_ring": 3,
 }
+
+
+def _pure_ok(ring, mask) -> bool:
+    return _purity_scan(ring, mask, ring.zero_set)[0]
+
+
+def _npure_ok(ring, mask) -> bool:
+    return _purity_scan(ring, mask, ring.nil_set)[0]
 
 
 def _report(line: str) -> None:
@@ -78,7 +94,7 @@ def test_criterion_1_method_agreement(catalog48):
 
 
 def test_criterion_2_radical_formula(catalog16_rings):
-    from ringlab.classify import _npure_scan, _radical_formula_mask
+    from ringlab.classify import _radical_formula_mask
 
     checked = mismatches = 0
     for ring in catalog16_rings:
@@ -86,7 +102,7 @@ def test_criterion_2_radical_formula(catalog16_rings):
         for ideal in ctx.lattice():
             formula = _radical_formula_mask(ctx, ideal)
             matches = formula == radical(ideal).mask
-            npure = _npure_scan(ring, ideal.mask)[0]
+            npure = _npure_ok(ring, ideal.mask)
             checked += 1
             if matches != npure:
                 mismatches += 1
@@ -98,17 +114,15 @@ def test_criterion_2_radical_formula(catalog16_rings):
 
 
 def test_criterion_3_npure_closure(catalog16_rings):
-    from ringlab.classify import _npure_scan
-
     checked = failures = 0
     for ring in catalog16_rings:
         lattice = all_ideals(ring)
-        npure = [i for i in lattice if _npure_scan(ring, i.mask)[0]]
+        npure = [i for i in lattice if _npure_ok(ring, i.mask)]
         for i in npure:
             for j in npure:
-                for op in ("sum", "product", "intersection"):
+                for op in (ideal_sum, ideal_product, ideal_intersection):
                     checked += 1
-                    if not _npure_scan(ring, ideal_algebra(i, j, op).mask)[0]:
+                    if not _npure_ok(ring, op(i, j).mask):
                         failures += 1
     assert failures == 0
     _report(
@@ -118,12 +132,10 @@ def test_criterion_3_npure_closure(catalog16_rings):
 
 
 def test_criterion_4_reduced_iff_families_coincide(catalog16_rings):
-    from ringlab.classify import _npure_scan, _pure_scan
-
     for ring in catalog16_rings:
         reduced = ring.nil_mask == 1 << ring.zero
         coincide = all(
-            _npure_scan(ring, i.mask)[0] == _pure_scan(ring, i.mask)[0]
+            _npure_ok(ring, i.mask) == _pure_ok(ring, i.mask)
             for i in all_ideals(ring)
         )
         assert reduced == coincide, ring.name
@@ -131,12 +143,12 @@ def test_criterion_4_reduced_iff_families_coincide(catalog16_rings):
     z6 = build(Zmod(6))
     assert z6.nil_mask == 1
     assert all(
-        _pure_scan(z6, i.mask)[0] and _npure_scan(z6, i.mask)[0]
+        _pure_ok(z6, i.mask) and _npure_ok(z6, i.mask)
         for i in all_ideals(z6)
     )
     z4 = build(Zmod(4))
     two = ideal_from_generators(z4, [2])
-    assert _npure_scan(z4, two.mask)[0] and not _pure_scan(z4, two.mask)[0]
+    assert _npure_ok(z4, two.mask) and not _pure_ok(z4, two.mask)
     _report(
         "ACCEPTANCE 4 PASS: reduced iff N-pure = pure families "
         "(Z/6 positive, Z/4 negative witness (2))"

@@ -150,6 +150,8 @@ def test_cli_spectrum(capsys):
     out = capsys.readouterr().out
     assert "primes : (0 3 6 9), (0 2 4 6 8 10)" in out
     assert "spp" in out
+    assert main(["spectrum", "Z/100"]) == 2
+    assert "exceeds lattice bound 64" in capsys.readouterr().err
 
 
 def test_cli_example1(capsys):

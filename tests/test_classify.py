@@ -236,13 +236,13 @@ def test_vnr_square_witnesses_recheck():
 
 
 def test_gpf_witnesses_recheck():
-    from ringlab.spectra import is_pure_mask
+    from ringlab.ideals import _purity_scan
 
     r = build(Zmod(12))
     v = ring_class(r, "gpf", "annihilator_power_pure")
     assert v.value
     for a, n in v.witness["choices"]:
-        ok, _ = is_pure_mask(r, r.ann_mask(r.pow_index(a, n)))
+        ok, _ = _purity_scan(r, r.ann_mask(r.pow_index(a, n)), r.zero_set)
         assert ok
         # a = 2 needs n = 2: Ann(2) = (6) is not pure but Ann(4) = (3) is
         if a == 2:

@@ -9,13 +9,8 @@ branches and witnesses are pinned down here on sets that are not ideals.
 
 from __future__ import annotations
 
-from ringlab.classify import (
-    NPURE_METHODS,
-    RingContext,
-    _npure_scan,
-    _pure_scan,
-)
-from ringlab.ideals import Ideal
+from ringlab.classify import NPURE_METHODS, RingContext
+from ringlab.ideals import Ideal, _purity_scan
 from ringlab.rings import build
 from ringlab.specs import Zmod
 
@@ -29,14 +24,14 @@ def _subset_ideal(ring, elems):
 
 def test_pure_scan_failure_witness():
     r = build(Zmod(6))
-    ok, witness = _pure_scan(r, 0b000100)  # the set {2}, not an ideal
+    ok, witness = _purity_scan(r, 0b000100, r.zero_set)  # the set {2}, not an ideal
     assert not ok and witness == 2
 
 
 def test_npure_scan_failure_witness():
     # Z/6 is reduced, so a(1-b) nilpotent means a(1-b) = 0
     r = build(Zmod(6))
-    ok, witness = _npure_scan(r, 0b000100)
+    ok, witness = _purity_scan(r, 0b000100, r.nil_set)
     assert not ok and witness == 2
 
 

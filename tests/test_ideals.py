@@ -8,16 +8,20 @@ from ringlab.errors import OrderTooLarge, RingMismatch
 from ringlab.ideals import (
     all_ideals,
     annihilator,
-    ideal_algebra,
+    Ideal,
     ideal_from_generators,
+    ideal_intersection,
     ideal_power,
+    ideal_product,
+    ideal_sum,
+    is_maximal_ideal,
+    is_primary_ideal,
+    is_prime_ideal,
     jacobson_radical,
     nilradical,
     power_intersection_hypothesis,
-    primality_tests,
     radical,
     unit_ideal,
-    validate_ideal,
     zero_ideal,
 )
 from ringlab.rings import build
@@ -26,6 +30,21 @@ from ringlab.specs import PolyQuot, Product, Zmod
 
 def _z(n):
     return build(Zmod(n))
+
+
+def validate_ideal(ideal: Ideal) -> None:
+    """Assert the ideal axioms on the mask."""
+    ring = ideal.ring
+    mask = ideal.mask
+    assert (mask >> ring.zero) & 1, "ideal must contain zero"
+    for a in ideal.elems:
+        assert (mask >> ring.neg_of[a]) & 1, f"not closed under negation at {a}"
+        row_add = ring.add_rows[a]
+        for b in ideal.elems:
+            assert (mask >> row_add[b]) & 1, f"not closed under addition at {a}+{b}"
+        row_mul = ring.mul_rows[a]
+        for r in range(ring.order):
+            assert (mask >> row_mul[r]) & 1, f"not closed under multiplication at {r}*{a}"
 
 
 def test_ideal_from_generators():
@@ -41,14 +60,14 @@ def test_ideal_sum_product_intersection():
     i4 = ideal_from_generators(r, [4])
     i2 = ideal_from_generators(r, [2])
     i6 = ideal_from_generators(r, [6])
-    assert ideal_algebra(i3, i4, "sum") == unit_ideal(r)  # 3+4=7 a unit
-    assert ideal_algebra(i2, i6, "product") == zero_ideal(r)  # 2*6 = 0
-    assert ideal_algebra(i3, unit_ideal(r), "intersection") == i3
+    assert ideal_sum(i3, i4) == unit_ideal(r)  # 3+4=7 a unit
+    assert ideal_product(i2, i6) == zero_ideal(r)  # 2*6 = 0
+    assert ideal_intersection(i3, unit_ideal(r)) == i3
 
 
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
-        ideal_algebra(zero_ideal(_z(4)), zero_ideal(_z(4)), "sum")
+        ideal_sum(zero_ideal(_z(4)), zero_ideal(_z(4)))
 
 
 def test_out_of_range_generator_rejected():
@@ -86,8 +105,8 @@ def test_radical_classical_identities():
         for i in lattice:
             assert radical(radical(i)) == radical(i)
             for j in lattice:
-                prod = ideal_algebra(i, j, "product")
-                meet = ideal_algebra(i, j, "intersection")
+                prod = ideal_product(i, j)
+                meet = ideal_intersection(i, j)
                 assert radical(prod) == radical(meet)
 
 
@@ -153,22 +172,22 @@ def test_primality():
     i2 = ideal_from_generators(r, [2])
     i4 = ideal_from_generators(r, [4])
     i6 = ideal_from_generators(r, [6])
-    assert primality_tests(i2, "prime").value
-    res4 = primality_tests(i4, "prime")
+    assert is_prime_ideal(i2).value
+    res4 = is_prime_ideal(i4)
     assert not res4.value and res4.witness == (2, 2)
-    assert primality_tests(i4, "primary").value
-    res6 = primality_tests(i6, "primary")
+    assert is_primary_ideal(i4).value
+    res6 = is_primary_ideal(i6)
     assert not res6.value
     a, b = res6.witness
     assert r.mul_rows[a][b] in i6 and a not in i6 and b not in radical(i6)
-    assert not primality_tests(unit_ideal(r), "prime").value
+    assert not is_prime_ideal(unit_ideal(r)).value
 
 
 def test_maximality_lattice_and_field_test_agree():
     for spec in (Zmod(12), Zmod(16), Product((Zmod(2), Zmod(9)))):
         r = build(spec)
         for i in all_ideals(r):
-            by_lattice = primality_tests(i, "maximal").value
+            by_lattice = is_maximal_ideal(i).value
             by_field = i.is_proper and r.is_maximal_mask(i.mask)
             assert by_lattice == by_field
 

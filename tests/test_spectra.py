@@ -5,10 +5,16 @@ from __future__ import annotations
 import pytest
 
 from ringlab.errors import NotPrime
-from ringlab.ideals import all_ideals, ideal_from_generators, primality_tests, radical
+from ringlab.ideals import (
+    _purity_scan,
+    all_ideals,
+    ideal_from_generators,
+    is_primary_ideal,
+    is_prime_ideal,
+    radical,
+)
 from ringlab.rings import build
 from ringlab.spectra import (
-    is_pure_mask,
     ker_pi,
     pure_ideals,
     pure_spectrum,
@@ -54,7 +60,7 @@ def test_finite_spectra_are_flat():
         sp = spectrum(build(spec))
         assert _elems(sp.primes) == _elems(sp.minimal) == _elems(sp.maximal)
         for p in sp.primes:
-            assert primality_tests(p, "prime").value
+            assert is_prime_ideal(p).value
 
 
 def test_ker_pi_examples():
@@ -152,7 +158,7 @@ def test_minimal_prime_kernels():
             k = ker_pi(r, p)
             assert radical(k) == p
             assert _elems(vanishing_set(k, sp)) == _elems(vanishing_set(p, sp))
-            assert primality_tests(k, "primary").value
+            assert is_primary_ideal(k).value
 
 
 def test_spectra_coincide_exactly_for_regular_rings():
@@ -180,4 +186,4 @@ def test_pure_mask_scan_matches_bruteforce():
                 )
                 for a in i.elems
             )
-            assert is_pure_mask(r, i.mask)[0] == expected
+            assert _purity_scan(r, i.mask, r.zero_set)[0] == expected
