@@ -9,7 +9,7 @@ fields with Buchberger's algorithm.
 """
 
 from .bounds import Bounds
-from .catalog import Catalog, default_catalog
+from .catalog import default_catalog
 from .classify import (
     PropertyReport,
     RingContext,
@@ -50,7 +50,6 @@ from .rings import (
     build,
     find_isomorphism,
     special_elements,
-    total_quotient_ring,
 )
 from .spectra import PureSpectrum, Spectrum, ker_pi, pure_ideals, pure_spectrum, spectrum, vanishing_set
 from .specs import parse_ring_spec, print_ring_spec
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds",
-    "Catalog",
     "Element",
     "FiniteRing",
     "GroebnerBasis",
@@ -101,7 +99,6 @@ __all__ = [
     "ring_class",
     "special_elements",
     "spectrum",
-    "total_quotient_ring",
     "vanishing_set",
     "verify_theorems",
 ]

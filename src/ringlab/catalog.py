@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .bounds import Bounds
 from .errors import OrderTooLarge
 from .ideals import all_ideals
-from .rings import build
+from .rings import FiniteRing, build, quotient_ring
 from .specs import PolyQuot, Product, Quotient, RingSpec, Zmod, print_ring_spec
 
 QUOTIENT_SOURCE_BOUND = 16
@@ -28,18 +27,11 @@ def spec_order(spec: RingSpec) -> int:
     raise ValueError(f"order of {spec!r} is not statically known")
 
 
-@dataclass
-class Catalog:
-    entries: list[RingSpec]
-    max_order: int
-    bounds: Bounds = field(default_factory=Bounds)
-
-
-def default_catalog(max_order: int, bounds: Bounds | None = None) -> Catalog:
+def default_catalog(max_order: int, bounds: Bounds | None = None) -> list[FiniteRing]:
     """Z/n, small GF(p)[x] quotients (reducible moduli included), all
     two-factor products fitting the order cap, and quotients of the small
-    entries by each of their proper ideals.  Deduplicated by spec,
-    deterministic order."""
+    entries by each of their proper ideals, each built once.  Deduplicated
+    by spec, deterministic order."""
     if max_order < 4:
         raise ValueError("max_order must be >= 4")
     bounds = bounds or Bounds()
@@ -64,17 +56,18 @@ def default_catalog(max_order: int, bounds: Bounds | None = None) -> Catalog:
             )
             entries[Product(tuple(pair))] = None
 
-    for spec in list(entries):
+    rings = {spec: build(spec) for spec in entries}
+    for spec, source in list(rings.items()):
         if spec_order(spec) > QUOTIENT_SOURCE_BOUND:
             continue
-        ring = build(spec)
         try:
-            lattice = all_ideals(ring, bounds.lattice)
+            lattice = all_ideals(source, bounds.lattice)
         except OrderTooLarge:
             continue
         for ideal in lattice:
             if not ideal.is_proper:
                 continue
-            entries[Quotient(spec, ideal.generators())] = None
+            quotient = Quotient(spec, ideal.generators())
+            rings[quotient] = quotient_ring(source, ideal.mask, quotient)
 
-    return Catalog(list(entries), max_order, bounds)
+    return list(rings.values())

@@ -138,9 +138,11 @@ class PropertyReport:
 class RingContext:
     """Per-ring cache of the expensive derived structures.
 
-    Lattice, spectrum, pure-ideal list, pure spectrum, localizations and
-    kernels are computed at most once per ring; everything downstream
-    reuses them.
+    Lattice, spectrum, pure-ideal list, pure spectrum, Jacobson radical,
+    localizations and kernels are computed at most once per ring;
+    everything downstream reuses them.  The lattice is enumerated here
+    only, and the spectrum, pure ideals, pure spectrum and Jacobson radical
+    are derived from it.
     """
 
     def __init__(self, ring: FiniteRing, bounds: Bounds | None = None):
@@ -167,17 +169,21 @@ class RingContext:
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            self._spectrum = spectrum(self.ring, self.bounds.lattice)
+            self._spectrum = spectrum(self.lattice())
         return self._spectrum
 
     def pure_list(self) -> list[Ideal]:
         if self._pure is None:
-            self._pure = pure_ideals(self.ring, self.bounds.lattice)
+            self._pure = pure_ideals(self.lattice())
         return self._pure
 
     def pure_spectrum(self) -> PureSpectrum:
         if self._pure_spectrum is None:
-            self._pure_spectrum = pure_spectrum(self.ring, self.bounds.spp, self.bounds.lattice)
+            if self.ring.order > self.bounds.spp:
+                raise OrderTooLarge(
+                    f"order {self.ring.order} exceeds pure-spectrum bound {self.bounds.spp}"
+                )
+            self._pure_spectrum = pure_spectrum(self.lattice(), self.pure_list())
         return self._pure_spectrum
 
     def kernel(self, p: Ideal) -> Ideal:
@@ -208,7 +214,10 @@ class RingContext:
 
     def jacobson(self) -> Ideal:
         if self._jacobson is None:
-            self._jacobson = jacobson_radical(self.ring, self.bounds.lattice)
+            if self.ring.order <= self.bounds.lattice:
+                self._jacobson = jacobson_radical(self.ring, self.spectrum().maximal)
+            else:
+                self._jacobson = Ideal(self.ring, self.ring.jacobson_mask)
         return self._jacobson
 
     def ideal_universe(self) -> tuple[list[Ideal], bool]:

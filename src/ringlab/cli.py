@@ -100,15 +100,12 @@ def cmd_check(args) -> int:
 
 def cmd_verify_catalog(args) -> int:
     bounds = _bounds_from_args(args)
-    catalog = default_catalog(args.max_order, bounds)
-    reports = []
-    for spec in catalog.entries:
-        ring = build(spec)
-        reports.append(classify_ring(ring, bounds=bounds))
+    rings = default_catalog(args.max_order, bounds)
+    reports = [classify_ring(ring, bounds=bounds) for ring in rings]
     doc = build_document(reports, bounds)
     agg = doc["aggregate"]
     print(
-        f"catalog: {len(catalog.entries)} rings (max order {args.max_order}); "
+        f"catalog: {len(reports)} rings (max order {args.max_order}); "
         f"checks: {agg['run']} run, {agg['passed']} passed, "
         f"{agg['failed']} failed, {agg['skipped']} skipped"
     )
@@ -218,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RingLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (RingLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

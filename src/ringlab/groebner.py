@@ -358,6 +358,8 @@ def parse_poly(text: str, p: int, vars: tuple[str, ...] | None = None) -> PolyFp
     When vars is None the variable list is inferred from the text and
     ordered alphabetically (earlier letters take higher precedence).
     """
+    if not is_prime(p):
+        raise CharMismatch(f"{p} is not prime")
     tokens: list[tuple[str, int]] = []
     pos = 0
     while pos < len(text):

@@ -302,22 +302,17 @@ def nilradical(ring: FiniteRing) -> Ideal:
     return Ideal(ring, ring.nil_mask)
 
 
-def jacobson_radical(
-    ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND
-) -> Ideal:
-    """Intersection of all maximal ideals.
+def jacobson_radical(ring: FiniteRing, maximal: list[Ideal]) -> Ideal:
+    """Intersection of the given maximal ideals of the ring.
 
-    Within the lattice bound the maximal ideals are intersected directly;
-    above it the element-level characterization {a : 1 - ab is a unit for
-    all b} is used (the same set in any commutative ring).
+    Above the lattice bound, where the maximal ideals are not enumerated,
+    ring.jacobson_mask gives the same set by the element-level
+    characterization {a : 1 - ab is a unit for all b}.
     """
-    if ring.order <= lattice_bound:
-        mask = (1 << ring.order) - 1
-        for i in all_ideals(ring, lattice_bound):
-            if i.is_proper and is_maximal_ideal(i, lattice_bound).value:
-                mask &= i.mask
-        return Ideal(ring, mask)
-    return Ideal(ring, ring.jacobson_mask)
+    mask = (1 << ring.order) - 1
+    for m in maximal:
+        mask &= m.mask
+    return Ideal(ring, mask)
 
 
 def power_intersection_hypothesis(i: Ideal) -> tuple[bool, int | None]:

@@ -627,12 +627,6 @@ def special_elements(ring: FiniteRing, kind: str) -> frozenset[int]:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def total_quotient_ring(ring: FiniteRing) -> FiniteRing:
-    """Fractions by non-zero-divisors: in a finite ring every
-    non-zero-divisor is already a unit, so this is the ring itself."""
-    return ring
-
-
 # -- isomorphism search --------------------------------------------------
 
 

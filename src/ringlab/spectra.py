@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import DEFAULT_LATTICE_BOUND, DEFAULT_SPP_BOUND
-from .errors import NotPrime, OrderTooLarge
-from .ideals import Ideal, _purity_scan, all_ideals, ideal_product, is_prime_ideal
-from .rings import FiniteRing, bits
+from .errors import NotPrime
+from .ideals import Ideal, _purity_scan, ideal_product, is_prime_ideal
+from .rings import FiniteRing
 
 
 @dataclass
@@ -24,9 +23,9 @@ class Spectrum:
     maximal: list[Ideal] = field(default_factory=list)
 
 
-def spectrum(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Spectrum:
+def spectrum(lattice: list[Ideal]) -> Spectrum:
     """Scan the ideal lattice for primes; classify minimal/maximal by inclusion."""
-    primes = [i for i in all_ideals(ring, lattice_bound) if is_prime_ideal(i).value]
+    primes = [i for i in lattice if is_prime_ideal(i).value]
     minimal = [
         p
         for p in primes
@@ -37,7 +36,7 @@ def spectrum(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Sp
         for p in primes
         if not any(q.mask != p.mask and q.contains_ideal(p) for q in primes)
     ]
-    return Spectrum(ring, primes, minimal, maximal)
+    return Spectrum(lattice[0].ring, primes, minimal, maximal)
 
 
 def ker_pi(ring: FiniteRing, p: Ideal) -> Ideal:
@@ -52,9 +51,9 @@ def vanishing_set(i: Ideal, spec: Spectrum) -> list[Ideal]:
     return sorted((p for p in spec.primes if p.contains_ideal(i)), key=lambda p: p.mask)
 
 
-def pure_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
-    """All ideals passing the element-wise purity test."""
-    lattice = all_ideals(ring, lattice_bound)
+def pure_ideals(lattice: list[Ideal]) -> list[Ideal]:
+    """The ideals of the lattice passing the element-wise purity test."""
+    ring = lattice[0].ring
     return [i for i in lattice if _purity_scan(ring, i.mask, ring.zero_set)[0]]
 
 
@@ -66,18 +65,8 @@ class PureSpectrum:
     members: list[Ideal]
 
 
-def pure_spectrum(
-    ring: FiniteRing,
-    spp_bound: int = DEFAULT_SPP_BOUND,
-    lattice_bound: int = DEFAULT_LATTICE_BOUND,
-) -> PureSpectrum:
-    """Brute force over proper ideals x pairs of pure ideals."""
-    if ring.order > spp_bound:
-        raise OrderTooLarge(
-            f"order {ring.order} exceeds pure-spectrum bound {spp_bound}"
-        )
-    lattice = all_ideals(ring, max(lattice_bound, spp_bound))
-    pures = [i for i in lattice if _purity_scan(ring, i.mask, ring.zero_set)[0]]
+def pure_spectrum(lattice: list[Ideal], pures: list[Ideal]) -> PureSpectrum:
+    """Brute force over the proper ideals of the lattice x pairs of its pure ideals."""
     pure_products = [
         (i, j, ideal_product(i, j)) for i in pures for j in pures
     ]
@@ -92,4 +81,4 @@ def pure_spectrum(
         ):
             members.append(p)
     members.sort(key=lambda i: i.mask)
-    return PureSpectrum(ring, members)
+    return PureSpectrum(lattice[0].ring, members)

@@ -28,7 +28,7 @@ from ringlab.ideals import (
 )
 from ringlab.rings import build, find_isomorphism
 from ringlab.report import build_document, dumps_document
-from ringlab.spectra import ker_pi, pure_spectrum, spectrum
+from ringlab.spectra import ker_pi
 from ringlab.specs import LocalizeAt, Zmod
 
 ACCEPTANCE_BOUNDS = Bounds(lattice=24, spp=24)
@@ -57,10 +57,9 @@ def _report(line: str) -> None:
 @pytest.fixture(scope="module")
 def catalog48():
     start = time.perf_counter()
-    catalog = default_catalog(48, ACCEPTANCE_BOUNDS)
     reports = [
-        classify_ring(build(spec), bounds=ACCEPTANCE_BOUNDS, with_theorems=False)
-        for spec in catalog.entries
+        classify_ring(ring, bounds=ACCEPTANCE_BOUNDS, with_theorems=False)
+        for ring in default_catalog(48, ACCEPTANCE_BOUNDS)
     ]
     elapsed = time.perf_counter() - start
     return reports, elapsed
@@ -68,7 +67,7 @@ def catalog48():
 
 @pytest.fixture(scope="module")
 def catalog16_rings():
-    return [build(spec) for spec in default_catalog(16).entries]
+    return default_catalog(16)
 
 
 def test_criterion_1_method_agreement(catalog48):
@@ -156,22 +155,22 @@ def test_criterion_4_reduced_iff_families_coincide(catalog16_rings):
 
 
 def test_criterion_5_spectra_coincide_iff_regular():
-    for spec in default_catalog(24).entries:
-        ring = build(spec)
+    for ring in default_catalog(24):
         if ring.order > 24:
             continue
-        vnr = classify_property(RingContext(ring), "von_neumann_regular")
+        ctx = RingContext(ring)
+        vnr = classify_property(ctx, "von_neumann_regular")
         assert vnr.consistent
-        spec_masks = sorted(p.mask for p in spectrum(ring).primes)
-        spp_masks = sorted(p.mask for p in pure_spectrum(ring).members)
+        spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
+        spp_masks = sorted(p.mask for p in ctx.pure_spectrum().members)
         assert (spec_masks == spp_masks) == vnr.value, ring.name
 
-    z4 = build(Zmod(4))
-    assert [tuple(i.elems) for i in pure_spectrum(z4).members] == [(0,), (0, 2)]
-    assert [tuple(i.elems) for i in spectrum(z4).primes] == [(0, 2)]
-    z6 = build(Zmod(6))
-    spp6 = sorted(tuple(i.elems) for i in pure_spectrum(z6).members)
-    spec6 = sorted(tuple(i.elems) for i in spectrum(z6).primes)
+    z4 = RingContext(build(Zmod(4)))
+    assert [tuple(i.elems) for i in z4.pure_spectrum().members] == [(0,), (0, 2)]
+    assert [tuple(i.elems) for i in z4.spectrum().primes] == [(0, 2)]
+    z6 = RingContext(build(Zmod(6)))
+    spp6 = sorted(tuple(i.elems) for i in z6.pure_spectrum().members)
+    spec6 = sorted(tuple(i.elems) for i in z6.spectrum().primes)
     assert spp6 == spec6 == [(0, 2, 4), (0, 3)]
     _report(
         "ACCEPTANCE 5 PASS: Spec = Spp exactly on regular rings; "
@@ -269,8 +268,7 @@ def test_criterion_10_deterministic_reports():
     import json
 
     def document_bytes() -> bytes:
-        catalog = default_catalog(16)
-        reports = [classify_ring(build(spec)) for spec in catalog.entries]
+        reports = [classify_ring(ring) for ring in default_catalog(16)]
         return dumps_document(build_document(reports, Bounds())).encode()
 
     first = document_bytes()

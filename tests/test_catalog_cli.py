@@ -60,8 +60,7 @@ def test_parse_errors_have_positions():
 
 
 def test_default_catalog_contents():
-    cat = default_catalog(12)
-    entries = set(cat.entries)
+    entries = {ring.spec for ring in default_catalog(12)}
     for wanted in (
         Zmod(4),
         Zmod(6),
@@ -74,17 +73,22 @@ def test_default_catalog_contents():
 
 def test_default_catalog_order_cap():
     cat = default_catalog(4)
-    for spec in cat.entries:
-        assert build(spec).order <= 4
-    entries = set(cat.entries)
+    for ring in cat:
+        assert ring.order <= 4
+    entries = {ring.spec for ring in cat}
     assert {Zmod(2), Zmod(3), Zmod(4), PolyQuot(2, (0, 0, 1)), PolyQuot(3, (0, 1))} <= entries
 
 
 def test_default_catalog_builds_and_dedups():
     cat = default_catalog(16)
-    assert len(cat.entries) == len(set(cat.entries))
-    for spec in cat.entries:
-        ring = build(spec)
+    assert len(cat) == len({ring.spec for ring in cat})
+    for ring in cat:
+        spec = ring.spec
+        # the catalog's ring is the one its spec denotes
+        rebuilt = build(spec)
+        assert (ring.add_table == rebuilt.add_table).all()
+        assert (ring.mul_table == rebuilt.mul_table).all()
+        assert ring.one == rebuilt.one
         if not isinstance(spec, Quotient):
             assert ring.order == spec_order(spec)
         assert ring.order <= 16
@@ -93,8 +97,8 @@ def test_default_catalog_builds_and_dedups():
 def test_catalog_specs_roundtrip_printer():
     # includes quotients by the zero ideal, whose generator list must stay
     # printable and parseable
-    for spec in default_catalog(16).entries:
-        assert parse_ring_spec(print_ring_spec(spec)) == spec
+    for ring in default_catalog(16):
+        assert parse_ring_spec(print_ring_spec(ring.spec)) == ring.spec
 
 
 def test_default_catalog_minimum():
@@ -152,6 +156,41 @@ def test_cli_spectrum(capsys):
     assert "spp" in out
     assert main(["spectrum", "Z/100"]) == 2
     assert "exceeds lattice bound 64" in capsys.readouterr().err
+    # below the spp bound but above the lattice bound
+    assert main(["spectrum", "Z/20", "--lattice-bound", "16"]) == 2
+    assert "exceeds lattice bound 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("Z/20", "order 20 exceeds lattice bound 16"),
+    ("Z/30", "order 30 exceeds pure-spectrum bound 24"),
+])
+def test_cli_spectra_skip_between_bounds(tmp_path, capsys, spec, reason):
+    # with the lattice bound below the spp bound, the lattice bound decides
+    # the skip below the spp bound and the spp bound above it
+    path = tmp_path / "report.json"
+    assert main(["check", spec, "--lattice-bound", "16", "--json", str(path)]) == 0
+    capsys.readouterr()
+    vnr = json.loads(path.read_text())["rings"][0]["properties"]["von_neumann_regular"]
+    skips = [m for m in vnr["methods"] if m["method"] == "spectrum_equals_pure_spectrum"]
+    assert skips == [{"method": "spectrum_equals_pure_spectrum", "skipped": reason}]
+
+
+def test_cli_unwritable_json_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["check", "Z/4", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path.parent) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prime, ideal", [(0, "x"), (1, "x"), (4, "x, 3*y")])
+def test_cli_groebner_rejects_non_prime(capsys, prime, ideal):
+    assert main(["groebner", "-p", str(prime), "--ideal", ideal]) == 2
+    captured = capsys.readouterr()
+    assert f"{prime} is not prime" in captured.err
+    assert "Traceback" not in captured.err
+    assert "reduced basis" not in captured.out
 
 
 def test_cli_example1(capsys):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from ringlab import ideals
 from ringlab.bounds import Bounds
 from ringlab.classify import (
     NPURE_METHODS,
@@ -184,8 +187,8 @@ def test_catalog_wide_sanity_facts():
     # classes collapse to reducedness
     from ringlab.catalog import default_catalog
 
-    for spec in default_catalog(12).entries:
-        ctx = RingContext(build(spec))
+    for ring in default_catalog(12):
+        ctx = RingContext(ring)
         values = {name: classify_property(ctx, name).value for name in PROPERTY_ORDER}
         assert all(
             values[name] is True
@@ -277,7 +280,7 @@ def test_pure_core_uniqueness(mini_rings):
     from ringlab.spectra import pure_ideals
 
     for r in mini_rings:
-        pures = pure_ideals(r)
+        pures = pure_ideals(all_ideals(r))
         for i in all_ideals(r):
             rad = radical(i).mask
             matches = [j for j in pures if radical(j).mask == rad]
@@ -295,12 +298,11 @@ def test_verify_theorems_catalog_sweep():
     # order <= 16 keeps every pair-quantified check active, nothing skipped
     # for size reasons except the product-factor check on non-products
     from ringlab.catalog import default_catalog
-    from ringlab.rings import build as build_ring
 
-    for spec in default_catalog(16).entries:
-        ctx = RingContext(build_ring(spec))
+    for ring in default_catalog(16):
+        ctx = RingContext(ring)
         for check in verify_theorems(ctx):
-            assert check.status in ("pass", "skipped"), (spec, check)
+            assert check.status in ("pass", "skipped"), (ring.spec, check)
 
 
 def test_sampled_mode_beyond_lattice_bound():
@@ -337,3 +339,37 @@ def test_property_filter_and_aliases():
     assert set(report.properties) == {"mid_ring", "pf_ring"}
     with pytest.raises(ValueError):
         classify_ring(build(Zmod(6)), properties=["frobnication"])
+
+
+def _count_lattices(monkeypatch) -> list:
+    """Record every all_ideals call, wrapped at each ringlab module binding it."""
+    original = ideals.all_ideals
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ringlab" or name.startswith("ringlab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [Zmod(12), Product((Zmod(4), Zmod(3)))])
+def test_classify_ring_enumerates_one_lattice(monkeypatch, spec):
+    ring = build(spec)
+    calls = _count_lattices(monkeypatch)
+    classify_ring(ring)
+    assert calls == [ring.name]
+
+
+def test_cli_spectrum_enumerates_one_lattice(monkeypatch, capsys):
+    from ringlab.cli import main
+
+    calls = _count_lattices(monkeypatch)
+    assert main(["spectrum", "Z/12"]) == 0
+    capsys.readouterr()
+    assert calls == ["Z/12"]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from ringlab.bounds import Bounds
+from ringlab.classify import RingContext
 from ringlab.errors import OrderTooLarge, RingMismatch
 from ringlab.ideals import (
     all_ideals,
@@ -25,6 +27,7 @@ from ringlab.ideals import (
     zero_ideal,
 )
 from ringlab.rings import build
+from ringlab.spectra import spectrum
 from ringlab.specs import PolyQuot, Product, Zmod
 
 
@@ -195,11 +198,12 @@ def test_maximality_lattice_and_field_test_agree():
 def test_nilradical_equals_jacobson_on_finite_rings():
     for spec in (Zmod(12), Zmod(6), Zmod(16), PolyQuot(2, (0, 0, 1)), Product((Zmod(4), Zmod(3)))):
         r = build(spec)
-        assert nilradical(r) == jacobson_radical(r)
+        assert nilradical(r) == jacobson_radical(r, spectrum(all_ideals(r)).maximal)
 
 
 def test_jacobson_examples():
-    assert jacobson_radical(_z(6)).elems == (0,)
+    z6 = _z(6)
+    assert jacobson_radical(z6, spectrum(all_ideals(z6)).maximal).elems == (0,)
     assert nilradical(_z(12)).elems == (0, 6)
     assert nilradical(build(PolyQuot(2, (0, 0, 1)))).elems == (0, 2)
 
@@ -210,7 +214,7 @@ def test_jacobson_unit_characterization_fallback():
     specs += [Product((Zmod(4), Zmod(9))), PolyQuot(2, (0, 0, 0, 1)), PolyQuot(3, (1, 0, 1))]
     for spec in specs:
         r = build(spec)
-        assert jacobson_radical(r, lattice_bound=2) == jacobson_radical(r)
+        assert RingContext(r, Bounds(lattice=2)).jacobson() == RingContext(r).jacobson()
 
 
 def test_power_intersection_hypothesis():
@@ -224,15 +228,14 @@ def test_power_intersection_hypothesis():
 
 def test_power_intersection_implies_npure():
     from ringlab.catalog import default_catalog
-    from ringlab.classify import RingContext, is_npure
+    from ringlab.classify import is_npure
 
-    for spec in default_catalog(16).entries:
-        r = build(spec)
+    for r in default_catalog(16):
         ctx = RingContext(r)
         for i in all_ideals(r):
             holds, _ = power_intersection_hypothesis(i)
             if holds:
-                assert is_npure(i, "def", ctx).value, (spec, list(i.elems))
+                assert is_npure(i, "def", ctx).value, (r.spec, list(i.elems))
 
 
 def test_generators_regenerate_ideal():

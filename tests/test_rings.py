@@ -16,7 +16,6 @@ from ringlab.rings import (
     build,
     find_isomorphism,
     special_elements,
-    total_quotient_ring,
 )
 from ringlab.specs import LocalizeAt, PolyQuot, Product, Quotient, TableSpec, Zmod
 
@@ -207,12 +206,6 @@ def test_table_format_rejects_malformed_file(tmp_path):
     path.write_text("3\n0 1 2\n")
     with pytest.raises(ParseError):
         build(TableSpec(str(path)))
-
-
-def test_total_quotient_ring_is_identity():
-    for spec in (Zmod(12), Zmod(6), PolyQuot(2, (0, 0, 1))):
-        r = build(spec)
-        assert total_quotient_ring(r) is r
 
 
 def test_ring_axiom_validation_catches_bad_mul():

@@ -41,23 +41,36 @@ def _elems(ideals):
     return sorted(tuple(i.elems) for i in ideals)
 
 
+def _spectrum(r):
+    return spectrum(all_ideals(r))
+
+
+def _pure_ideals(r):
+    return pure_ideals(all_ideals(r))
+
+
+def _pure_spectrum(r):
+    lattice = all_ideals(r)
+    return pure_spectrum(lattice, pure_ideals(lattice))
+
+
 def test_spectrum_examples():
-    sp = spectrum(build(Zmod(12)))
+    sp = _spectrum(build(Zmod(12)))
     assert _elems(sp.primes) == [(0, 2, 4, 6, 8, 10), (0, 3, 6, 9)]
     assert _elems(sp.minimal) == _elems(sp.primes)
     assert _elems(sp.maximal) == _elems(sp.primes)
 
-    field = spectrum(build(PolyQuot(3, (1, 1))))
+    field = _spectrum(build(PolyQuot(3, (1, 1))))
     assert _elems(field.primes) == [(0,)]
 
-    dual = spectrum(build(PolyQuot(2, (0, 0, 1))))
+    dual = _spectrum(build(PolyQuot(2, (0, 0, 1))))
     assert _elems(dual.primes) == [(0, 2)]
 
 
 def test_finite_spectra_are_flat():
     # primes = minimal = maximal in a finite ring; asserted, never assumed
     for spec in SMALL_SPECS:
-        sp = spectrum(build(spec))
+        sp = _spectrum(build(spec))
         assert _elems(sp.primes) == _elems(sp.minimal) == _elems(sp.maximal)
         for p in sp.primes:
             assert is_prime_ideal(p).value
@@ -117,7 +130,7 @@ def test_ker_pi_requires_prime():
 
 def test_vanishing_sets():
     r = build(Zmod(12))
-    sp = spectrum(r)
+    sp = _spectrum(r)
     i4 = ideal_from_generators(r, [4])
     i6 = ideal_from_generators(r, [6])
     zero = ideal_from_generators(r, [])
@@ -127,9 +140,9 @@ def test_vanishing_sets():
 
 
 def test_pure_ideals_examples():
-    assert _elems(pure_ideals(build(Zmod(4)))) == [(0,), (0, 1, 2, 3)]
-    assert len(pure_ideals(build(Zmod(6)))) == 4
-    assert _elems(pure_ideals(build(Zmod(12)))) == sorted(
+    assert _elems(_pure_ideals(build(Zmod(4)))) == [(0,), (0, 1, 2, 3)]
+    assert len(_pure_ideals(build(Zmod(6)))) == 4
+    assert _elems(_pure_ideals(build(Zmod(12)))) == sorted(
         [(0,), (0, 3, 6, 9), (0, 4, 8), tuple(range(12))]
     )
 
@@ -139,21 +152,21 @@ def test_pure_ideals_are_idempotent_generated():
     for spec in SMALL_SPECS:
         r = build(spec)
         idem_principal = {r.principal_mask(e) for e in r.idempotents()}
-        assert {i.mask for i in pure_ideals(r)} == idem_principal
+        assert {i.mask for i in _pure_ideals(r)} == idem_principal
 
 
 def test_pure_spectrum_examples():
-    assert _elems(pure_spectrum(build(Zmod(4))).members) == [(0,), (0, 2)]
-    assert _elems(pure_spectrum(build(Zmod(6))).members) == [(0, 2, 4), (0, 3)]
+    assert _elems(_pure_spectrum(build(Zmod(4))).members) == [(0,), (0, 2)]
+    assert _elems(_pure_spectrum(build(Zmod(6))).members) == [(0, 2, 4), (0, 3)]
     field = build(PolyQuot(5, (2, 1)))
-    assert _elems(pure_spectrum(field).members) == [(0,)]
+    assert _elems(_pure_spectrum(field).members) == [(0,)]
 
 
 def test_minimal_prime_kernels():
     # radical of the kernel recovers the prime; same vanishing set; primary
     for spec in SMALL_SPECS:
         r = build(spec)
-        sp = spectrum(r)
+        sp = _spectrum(r)
         for p in sp.minimal:
             k = ker_pi(r, p)
             assert radical(k) == p
@@ -170,8 +183,8 @@ def test_spectra_coincide_exactly_for_regular_rings():
             continue
         vnr = classify_property(RingContext(r), "von_neumann_regular")
         assert vnr.consistent
-        spec_masks = sorted(p.mask for p in spectrum(r).primes)
-        spp_masks = sorted(p.mask for p in pure_spectrum(r).members)
+        spec_masks = sorted(p.mask for p in _spectrum(r).primes)
+        spp_masks = sorted(p.mask for p in _pure_spectrum(r).members)
         assert (spec_masks == spp_masks) == vnr.value, spec
 
 

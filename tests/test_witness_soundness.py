@@ -16,7 +16,6 @@ from ringlab.classify import (
     classify_property,
 )
 from ringlab.ideals import radical
-from ringlab.rings import build
 
 
 def _one_minus(ring, b):
@@ -169,8 +168,7 @@ def _ann_mask(ring, a):
 
 
 def test_witness_soundness_across_catalog():
-    for spec in default_catalog(12).entries:
-        ring = build(spec)
+    for ring in default_catalog(12):
         ctx = RingContext(ring)
         universe, _ = ctx.ideal_universe()
         for ideal in universe:
