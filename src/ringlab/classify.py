@@ -58,7 +58,7 @@ from .ideals import (
     radical,
     zero_ideal,
 )
-from .rings import FiniteRing, bits, build, localize_at_mask, quotient_projection, quotient_ring
+from .rings import FiniteRing, bits, localize_at_mask, quotient_projection, quotient_ring
 from .spectra import PureSpectrum, Spectrum, pure_ideals, pure_spectrum, spectrum, vanishing_set
 
 
@@ -1059,7 +1059,7 @@ def _mid_quotients(ctx: RingContext, props) -> dict | None:
 
 def _product_mid(ctx: RingContext, props) -> dict | None:
     whole = _mid_failure(ctx.ring, ctx.bounds) is None
-    factors = all(_mid_failure(build(f), ctx.bounds) is None for f in ctx.ring.spec.factors)
+    factors = all(_mid_failure(f, ctx.bounds) is None for f in ctx.ring.factors)
     return None if whole == factors else {"product": whole, "factors": factors}
 
 
@@ -1092,7 +1092,7 @@ def _pair_bound(bounds: Bounds) -> int:
 # (check, bound, requires, body).  bound maps the Bounds to the largest
 # order the check runs at (None: any order).  requires is None, a property
 # alias the ring must be verified to have, or "product": the check exists
-# only for product specs.
+# only for rings built as products (those with factors).
 THEOREM_CHECKS = [
     ("pure_ideals_are_npure", _LATTICE_BOUND, None, _pure_ideals_npure),
     ("reduced_iff_npure_equals_pure", _LATTICE_BOUND, None, _reduced_iff_families_coincide),
@@ -1132,7 +1132,7 @@ def verify_theorems(
         properties = {name: classify_property(ctx, name) for name in PROPERTY_ORDER}
     checks: list[TheoremCheck] = []
     for check, bound, requires, body in THEOREM_CHECKS:
-        if requires == "product" and not isinstance(ring.spec, specs.Product):
+        if requires == "product" and not ring.factors:
             continue
         limit = bound(ctx.bounds) if bound else None
         if limit is not None and ring.order > limit:
@@ -1157,7 +1157,6 @@ def classify_ring(
     ring: FiniteRing,
     properties: list[str] | None = None,
     bounds: Bounds | None = None,
-    with_ideals: bool = True,
     with_theorems: bool = True,
 ) -> PropertyReport:
     """Full battery for one ring: properties, per-ideal purity, theorems."""
@@ -1166,13 +1165,7 @@ def classify_ring(
     needed = PROPERTY_ORDER if with_theorems else names
     computed = {name: classify_property(ctx, name) for name in needed}
     prop_results = {name: computed[name] for name in names}
-    ideal_results: list[IdealClassification] = []
-    sampled = False
-    if with_ideals:
-        try:
-            universe, sampled = ctx.ideal_universe()
-            ideal_results = [classify_ideal(ctx, i) for i in universe]
-        except OrderTooLarge:
-            ideal_results = []
+    universe, sampled = ctx.ideal_universe()
+    ideal_results = [classify_ideal(ctx, i) for i in universe]
     checks = verify_theorems(ctx, computed) if with_theorems else []
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)

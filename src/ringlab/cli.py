@@ -23,7 +23,7 @@ from .groebner import (
     parse_poly_list,
     radical_member,
 )
-from .report import build_document, ring_report_dict, write_json_atomic
+from .report import build_document, write_json_atomic
 from .rings import build
 from .specs import parse_ring_spec
 
@@ -74,28 +74,29 @@ def cmd_check(args) -> int:
     bounds = _bounds_from_args(args)
     properties = args.properties.split(",") if args.properties else None
     report = classify_ring(ring, properties=properties, bounds=bounds)
-    doc, failures = ring_report_dict(report)
+    doc = build_document([report], bounds)
+    if args.json:
+        write_json_atomic(args.json, doc)
+    ring_doc = doc["rings"][0]
     print(f"ring {ring.name} (order {ring.order})")
-    _print_property_lines(doc)
-    if doc["ideals"]["items"]:
-        n = len(doc["ideals"]["items"])
+    _print_property_lines(ring_doc)
+    if ring_doc["ideals"]["items"]:
+        n = len(ring_doc["ideals"]["items"])
         bad = [
-            item for item in doc["ideals"]["items"]
+            item for item in ring_doc["ideals"]["items"]
             if item["npure"]["consistent"] is False
         ]
-        sampled = " (sampled)" if doc["ideals"]["sampled"] else ""
+        sampled = " (sampled)" if ring_doc["ideals"]["sampled"] else ""
         print(f"  ideal battery: {n} ideals{sampled}, {len(bad)} agreement failures")
-    for check in doc["theorem_checks"]:
+    for check in ring_doc["theorem_checks"]:
         if check["status"] == "fail":
             print(f"  theorem {check['check']}: FAIL {check.get('detail')}")
-    counts = doc["counts"]
+    counts = ring_doc["counts"]
     print(
         f"checks: {counts['run']} run, {counts['passed']} passed, "
         f"{counts['failed']} failed, {counts['skipped']} skipped"
     )
-    if args.json:
-        write_json_atomic(args.json, build_document([report], bounds))
-    return CHECK_FAILURE if failures else 0
+    return CHECK_FAILURE if doc["aggregate"]["failed"] else 0
 
 
 def cmd_verify_catalog(args) -> int:
@@ -103,6 +104,8 @@ def cmd_verify_catalog(args) -> int:
     rings = default_catalog(args.max_order, bounds)
     reports = [classify_ring(ring, bounds=bounds) for ring in rings]
     doc = build_document(reports, bounds)
+    if args.json:
+        write_json_atomic(args.json, doc)
     agg = doc["aggregate"]
     print(
         f"catalog: {len(reports)} rings (max order {args.max_order}); "
@@ -111,8 +114,6 @@ def cmd_verify_catalog(args) -> int:
     )
     for failure in agg["failures"]:
         print(f"  FAIL {failure['ring']} {failure['kind']}:{failure['name']} {failure['detail']}")
-    if args.json:
-        write_json_atomic(args.json, doc)
     return CHECK_FAILURE if agg["failed"] else 0
 
 
@@ -157,7 +158,6 @@ def cmd_groebner(args) -> int:
     print(f"reduced basis over GF({args.prime}), {args.order}:")
     for g in gb.generators:
         print(f"  {g.text(order)}")
-    status = 0
     if args.member:
         f = parse_poly(args.member, args.prime, gb.vars)
         verdict = ideal_member(f, gb)
@@ -166,7 +166,7 @@ def cmd_groebner(args) -> int:
         f = parse_poly(args.radical_member, args.prime, gb.vars)
         verdict = radical_member(f, gens, order)
         print(f"radical member {f.text(order)}: {verdict}")
-    return status
+    return 0
 
 
 def make_parser() -> argparse.ArgumentParser:

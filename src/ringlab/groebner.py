@@ -155,9 +155,6 @@ class PolyFp:
         _, c = self.leading(order)
         return self.scale(pow(c, self.p - 2, self.p))
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def text(self, order: MonomialOrder = LEX) -> str:
         """Canonical text form, terms in descending monomial order."""
         if not self.terms:

@@ -4,6 +4,11 @@ A method verdict is one characterization's answer; the countable *checks*
 are (a) one method-agreement check per property per ring, (b) one per-ideal
 agreement check for the N-purity battery, and (c) each theorem-level check.
 Skipped entries always name the bound that caused the skip.
+
+The deciders build their witnesses and details as JSON-native values (ints,
+bools, strs, lists and dicts with str keys), so the document takes them as
+they are, in one pass over the verdicts; a value of any other type makes
+``json.dumps`` raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -22,19 +27,7 @@ from .classify import (
 )
 
 TOOL_VERSION = "0.1.0"
-
-
-def _plain(value):
-    """Recursively convert witnesses to JSON-safe structures."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return int(value)
-    return str(value)
+COUNTS = ("run", "passed", "failed", "skipped")
 
 
 def _method_dict(result) -> dict:
@@ -42,7 +35,7 @@ def _method_dict(result) -> dict:
         return {"method": result.method, "skipped": result.reason}
     out = {"method": result.method, "value": result.value}
     if result.witness is not None:
-        out["witness"] = _plain(result.witness)
+        out["witness"] = result.witness
     if result.sampled:
         out["sampled"] = True
     return out
@@ -68,89 +61,49 @@ def _ideal_dict(item: IdealClassification) -> dict:
 def _check_dict(check: TheoremCheck) -> dict:
     out = {"check": check.check, "status": check.status}
     if check.detail is not None:
-        out["detail"] = _plain(check.detail)
+        out["detail"] = check.detail
     return out
+
+
+def _verdict_values(result: PropertyResult) -> dict:
+    return {r.method: r.value for r in result.verdicts}
+
+
+def _outcomes(report: PropertyReport):
+    """Yield (kind, name, outcome, failure detail) for each countable check
+    and each skipped method; outcome is True, False, or None for a skip."""
+    for name, result in sorted(report.properties.items()):
+        ok = result.consistent if result.verdicts else None
+        yield "method_agreement", name, ok, _verdict_values(result) if ok is False else None
+    for item in report.ideal_results:
+        npure = item.npure
+        ok = None
+        if npure.verdicts:
+            ok = npure.consistent and (not item.pure.value or npure.value is not False)
+        detail = {
+            "ideal": list(item.ideal.elems),
+            "methods": _verdict_values(npure),
+            "pure": item.pure.value,
+        } if ok is False else None
+        yield "ideal_agreement", "npure", ok, detail
+    for check in report.theorem_checks:
+        ok = None if check.status == "skipped" else check.status == "pass"
+        yield "theorem", check.check, ok, check.detail
+    for result in [*report.properties.values(), *(i.npure for i in report.ideal_results)]:
+        for r in result.results:
+            if isinstance(r, Skipped):
+                yield "method", r.method, None, None
 
 
 def ring_report_dict(report: PropertyReport) -> tuple[dict, list[dict]]:
     """Serialize one ring's report and tally its checks."""
-    run = passed = failed = skipped = 0
+    counts = dict.fromkeys(COUNTS, 0)
     failures = []
-
-    for name in sorted(report.properties):
-        result = report.properties[name]
-        if not result.verdicts:
-            skipped += 1
-            continue
-        run += 1
-        if result.consistent:
-            passed += 1
-        else:
-            failed += 1
-            failures.append(
-                {
-                    "kind": "method_agreement",
-                    "name": name,
-                    "detail": _plain(
-                        {r.method: r.value for r in result.verdicts}
-                    ),
-                }
-            )
-
-    for item in report.ideal_results:
-        if not item.npure.verdicts:
-            skipped += 1
-            continue
-        run += 1
-        agree = item.npure.consistent
-        pure_implies = not item.pure.value or (item.npure.value is not False)
-        if agree and pure_implies:
-            passed += 1
-        else:
-            failed += 1
-            failures.append(
-                {
-                    "kind": "ideal_agreement",
-                    "name": "npure",
-                    "detail": _plain(
-                        {
-                            "ideal": list(item.ideal.elems),
-                            "methods": {r.method: r.value for r in item.npure.verdicts},
-                            "pure": item.pure.value,
-                        }
-                    ),
-                }
-            )
-
-    for check in report.theorem_checks:
-        if check.status == "skipped":
-            skipped += 1
-        else:
-            run += 1
-            if check.status == "pass":
-                passed += 1
-            else:
-                failed += 1
-                failures.append(
-                    {
-                        "kind": "theorem",
-                        "name": check.check,
-                        "detail": _plain(check.detail),
-                    }
-                )
-
-    skipped += sum(
-        1
-        for result in report.properties.values()
-        for r in result.results
-        if isinstance(r, Skipped)
-    )
-    skipped += sum(
-        1
-        for item in report.ideal_results
-        for r in item.npure.results
-        if isinstance(r, Skipped)
-    )
+    for kind, name, ok, detail in _outcomes(report):
+        counts["skipped" if ok is None else "passed" if ok else "failed"] += 1
+        if ok is False:
+            failures.append({"kind": kind, "name": name, "detail": detail})
+    counts["run"] = counts["passed"] + counts["failed"]
 
     doc = {
         "spec": report.ring.name,
@@ -164,32 +117,26 @@ def ring_report_dict(report: PropertyReport) -> tuple[dict, list[dict]]:
             "items": [_ideal_dict(item) for item in report.ideal_results],
         },
         "theorem_checks": [_check_dict(c) for c in report.theorem_checks],
-        "counts": {"run": run, "passed": passed, "failed": failed, "skipped": skipped},
+        "counts": counts,
     }
     return doc, failures
 
 
 def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
     rings = []
-    run = passed = failed = skipped = 0
+    totals = dict.fromkeys(COUNTS, 0)
     failures = []
     for report in reports:
         doc, ring_failures = ring_report_dict(report)
         rings.append(doc)
-        run += doc["counts"]["run"]
-        passed += doc["counts"]["passed"]
-        failed += doc["counts"]["failed"]
-        skipped += doc["counts"]["skipped"]
-        for f in ring_failures:
-            failures.append({"ring": report.ring.name, **f})
+        for key in COUNTS:
+            totals[key] += doc["counts"][key]
+        failures.extend({"ring": report.ring.name, **f} for f in ring_failures)
     return {
         "version": TOOL_VERSION,
         "rings": rings,
         "aggregate": {
-            "run": run,
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
+            **totals,
             "failures": failures,
             "bounds": {
                 "lattice": bounds.lattice,
@@ -206,15 +153,20 @@ def dumps_document(doc: dict) -> str:
 
 
 def write_json_atomic(path: str, doc: dict) -> None:
-    """Write the serialized document in one rename, never partially."""
+    """Write the serialized document in one rename, never partially.
+
+    An OSError from creating, writing or renaming is raised again naming
+    ``path`` rather than the temporary file."""
     text = dumps_document(doc)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc

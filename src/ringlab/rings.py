@@ -145,6 +145,7 @@ class FiniteRing:
         one: int,
         spec: specs.RingSpec,
         zero: int = 0,
+        factors: tuple["FiniteRing", ...] = (),
     ):
         add = np.asarray(add, dtype=np.int32)
         mul = np.asarray(mul, dtype=np.int32)
@@ -155,6 +156,8 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.spec = spec
+        # the rings a product was built from; () for any other ring
+        self.factors = factors
         # plain nested lists are noticeably faster than ndarray scalar access
         # in the exhaustive scans that dominate this package
         self.add_rows: list[list[int]] = add.tolist()
@@ -486,8 +489,8 @@ def _build_polyquot(spec: specs.PolyQuot) -> FiniteRing:
     return FiniteRing(add, mul, one=1, spec=specs.PolyQuot(p, coeffs, spec.var))
 
 
-def _build_product(spec: specs.Product) -> FiniteRing:
-    factors = [build(f) for f in spec.factors]
+def product_ring(factors: list[FiniteRing], spec: specs.Product) -> FiniteRing:
+    """The direct product of rings already built, keeping them as ``factors``."""
     add = np.zeros((1, 1), dtype=np.int64)
     mul = np.zeros((1, 1), dtype=np.int64)
     one = 0
@@ -500,7 +503,7 @@ def _build_product(spec: specs.Product) -> FiniteRing:
         mul = mul.reshape(order * o, order * o)
         one = one * o + f.one
         order *= o
-    return FiniteRing(add, mul, one=one, spec=spec)
+    return FiniteRing(add, mul, one=one, spec=spec, factors=tuple(factors))
 
 
 def quotient_ring(inner: FiniteRing, ideal_mask: int, spec: specs.RingSpec) -> FiniteRing:
@@ -592,7 +595,7 @@ def build(spec: specs.RingSpec) -> FiniteRing:
     if isinstance(spec, specs.PolyQuot):
         return _build_polyquot(spec)
     if isinstance(spec, specs.Product):
-        return _build_product(spec)
+        return product_ring([build(f) for f in spec.factors], spec)
     if isinstance(spec, specs.Quotient):
         return _build_quotient(spec)
     if isinstance(spec, specs.LocalizeAt):

@@ -267,13 +267,16 @@ def test_criterion_10_deterministic_reports():
     import hashlib
     import json
 
-    def document_bytes() -> bytes:
+    def document() -> tuple[dict, bytes]:
         reports = [classify_ring(ring) for ring in default_catalog(16)]
-        return dumps_document(build_document(reports, Bounds())).encode()
+        doc = build_document(reports, Bounds())
+        return doc, dumps_document(doc).encode()
 
-    first = document_bytes()
-    second = document_bytes()
+    doc, first = document()
+    _, second = document()
     assert first == second
+    # every witness is JSON-native: the document survives a round trip as is
+    assert json.loads(first) == doc
     assert json.loads(first)["aggregate"]["failed"] == 0
     # the max-order-16 document is pinned byte for byte
     assert hashlib.sha256(first).hexdigest() == (

@@ -23,6 +23,7 @@ from ringlab.classify import (
 )
 from ringlab.errors import OrderTooLarge
 from ringlab.ideals import all_ideals, ideal_from_generators, unit_ideal, zero_ideal
+from ringlab.report import ring_report_dict
 from ringlab.rings import build
 from ringlab.specs import PolyQuot, Product, Quotient, Zmod
 
@@ -341,13 +342,13 @@ def test_property_filter_and_aliases():
         classify_ring(build(Zmod(6)), properties=["frobnication"])
 
 
-def _count_lattices(monkeypatch) -> list:
-    """Record every all_ideals call, wrapped at each ringlab module binding it."""
-    original = ideals.all_ideals
+def _count_calls(monkeypatch, original) -> list:
+    """Record the first argument of every call to original, wrapped at each
+    ringlab module binding it."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -361,15 +362,33 @@ def _count_lattices(monkeypatch) -> list:
 @pytest.mark.parametrize("spec", [Zmod(12), Product((Zmod(4), Zmod(3)))])
 def test_classify_ring_enumerates_one_lattice(monkeypatch, spec):
     ring = build(spec)
-    calls = _count_lattices(monkeypatch)
+    calls = _count_calls(monkeypatch, ideals.all_ideals)
     classify_ring(ring)
-    assert calls == [ring.name]
+    assert calls == [ring]
+
+
+def test_classify_product_builds_no_ring(monkeypatch):
+    # the product theorem check reads the factors the product was built from
+    ring = build(Product((Zmod(4), Zmod(3))))
+    calls = _count_calls(monkeypatch, build)
+    classify_ring(ring)
+    assert calls == []
+    assert [f.spec for f in ring.factors] == [Zmod(4), Zmod(3)]
 
 
 def test_cli_spectrum_enumerates_one_lattice(monkeypatch, capsys):
     from ringlab.cli import main
 
-    calls = _count_lattices(monkeypatch)
+    calls = _count_calls(monkeypatch, ideals.all_ideals)
     assert main(["spectrum", "Z/12"]) == 0
     capsys.readouterr()
-    assert calls == ["Z/12"]
+    assert [ring.name for ring in calls] == ["Z/12"]
+
+
+def test_cli_check_serializes_ring_once(monkeypatch, tmp_path, capsys):
+    from ringlab.cli import main
+
+    calls = _count_calls(monkeypatch, ring_report_dict)
+    assert main(["check", "Z/12", "--json", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert [r.ring.name for r in calls] == ["Z/12"]
