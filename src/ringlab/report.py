@@ -164,6 +164,10 @@ def write_json_atomic(path: str, doc: dict) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            # mkstemp creates the file 0600; give it the mode a plain open would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

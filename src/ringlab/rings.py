@@ -55,20 +55,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def validate_ring_tables(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
+# Row-axiom temporaries hold at most this many entries: one block of rows
+# for N <= 16, single rows from N = 128 up.
+_BLOCK_ENTRIES = 2**14
+
+_ROW_AXIOMS = (
+    "addition is not associative",
+    "multiplication is not associative",
+    "multiplication does not distribute over addition",
+)
+
+
+def validate_ring_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
     """Check every commutative-unital-ring axiom on the full tables.
 
-    Raises NotARing naming the first failed axiom.  Associativity and
-    distributivity are verified row-by-row to keep memory linear in N^2.
+    Index 0 is the additive identity.  Raises NotARing naming the first
+    failed axiom; the three row axioms (associativity of + and *,
+    distributivity) are ordered by row, then axiom.  Rows are checked in
+    blocks of max(1, 2**14 // N**2), so each temporary holds at most 2**14
+    entries, or the N^2 of one row above N = 128.
     """
     n = add.shape[0]
     if add.shape != (n, n) or mul.shape != (n, n):
         raise NotARing("tables must be square and of equal size")
     if n < 2:
         raise NotARing("ring must have at least two elements (zero ring rejected)")
-    if not (0 <= zero < n and 0 <= one < n):
+    if not 0 <= one < n:
         raise NotARing("identity indices out of range")
-    if zero == one:
+    if one == 0:
         raise NotARing("zero and one coincide (zero ring rejected)")
     for name, t in (("addition", add), ("multiplication", mul)):
         if t.min() < 0 or t.max() >= n:
@@ -76,19 +90,27 @@ def validate_ring_tables(add: np.ndarray, mul: np.ndarray, zero: int, one: int) 
         if not np.array_equal(t, t.T):
             raise NotARing(f"{name} is not commutative")
     idx = np.arange(n)
-    if not np.array_equal(add[zero], idx):
+    if not np.array_equal(add[0], idx):
         raise NotARing("zero is not an additive identity")
     if not np.array_equal(mul[one], idx):
         raise NotARing("one is not a multiplicative identity")
-    if not np.all((add == zero).any(axis=1)):
+    if not np.all((add == 0).any(axis=1)):
         raise NotARing("some element has no additive inverse")
-    for i in range(n):
-        if not np.array_equal(add[add[i], :], np.take(add[i], add)):
-            raise NotARing("addition is not associative")
-        if not np.array_equal(mul[mul[i], :], np.take(mul[i], mul)):
-            raise NotARing("multiplication is not associative")
-        if not np.array_equal(np.take(mul[i], add), add[np.ix_(mul[i], mul[i])]):
-            raise NotARing("multiplication does not distribute over addition")
+    step = max(1, _BLOCK_ENTRIES // n**2)
+    for start in range(0, n, step):
+        # flat indices: rows + t[j, k] is the entry (i, t[j, k]) for each row i
+        rows = np.arange(start, min(start + step, n), dtype=np.intp)[:, None, None] * n
+        a, m = add[start : start + step], mul[start : start + step].astype(np.intp)
+        at_sum = rows + add
+        # both sides of each row axiom at every (i, j, k) of the block
+        sides = (
+            (np.take(add, a, axis=0), np.take(add, at_sum)),
+            (np.take(mul, m, axis=0), np.take(mul, rows + mul)),
+            (np.take(mul, at_sum), np.take(add, m[:, :, None] * n + m[:, None, :])),
+        )
+        bad = np.stack([(lhs != rhs).any(axis=(1, 2)) for lhs, rhs in sides], axis=1)
+        if bad.any():
+            raise NotARing(_ROW_AXIOMS[int(bad.argmax()) % 3])
 
 
 class Element:
@@ -144,16 +166,15 @@ class FiniteRing:
         mul: np.ndarray,
         one: int,
         spec: specs.RingSpec,
-        zero: int = 0,
         factors: tuple["FiniteRing", ...] = (),
     ):
         add = np.asarray(add, dtype=np.int32)
         mul = np.asarray(mul, dtype=np.int32)
-        validate_ring_tables(add, mul, zero, one)
+        validate_ring_tables(add, mul, one)
         self.order = int(add.shape[0])
         self.add_table = add
         self.mul_table = mul
-        self.zero = zero
+        self.zero = 0
         self.one = one
         self.spec = spec
         # the rings a product was built from; () for any other ring
@@ -162,7 +183,7 @@ class FiniteRing:
         # in the exhaustive scans that dominate this package
         self.add_rows: list[list[int]] = add.tolist()
         self.mul_rows: list[list[int]] = mul.tolist()
-        self.neg_of: list[int] = [int(np.where(add[i] == zero)[0][0]) for i in range(self.order)]
+        self.neg_of: list[int] = np.argmax(add == 0, axis=1).tolist()
         self._power_seq: dict[int, list[int]] = {}
         self._ann_mask: dict[int, int] = {}
         self._ann_stable: dict[int, tuple[int, int]] = {}
@@ -173,7 +194,7 @@ class FiniteRing:
         self._idempotents: list[int] | None = None
         self._nil_set: frozenset[int] | None = None
         # {0} as a set: the accepted values of a(1-b) in a purity scan
-        self.zero_set = frozenset((zero,))
+        self.zero_set = frozenset((0,))
 
     # -- presentation -------------------------------------------------
 
@@ -444,48 +465,21 @@ def _build_polyquot(spec: specs.PolyQuot) -> FiniteRing:
     if d < 1 or coeffs[-1] != 1:
         raise NonMonic(f"modulus {specs.print_univariate(spec.coeffs, spec.var)} must be monic of degree >= 1")
     n = p**d
-
-    def to_vec(i: int) -> list[int]:
-        v = []
-        for _ in range(d):
-            i, r = divmod(i, p)
-            v.append(r)
-        return v
-
-    def to_idx(v: list[int]) -> int:
-        i = 0
-        for c in reversed(v):
-            i = i * p + c
-        return i
-
-    # x^k mod f for k = d .. 2d-2, as coefficient vectors
-    reduction = {d: [(-coeffs[j]) % p for j in range(d)]}
-    for k in range(d + 1, 2 * d - 1):
-        prev = reduction[k - 1]
-        shifted = [0] + prev[:-1]
-        top = prev[-1]
-        reduction[k] = [(shifted[j] + top * reduction[d][j]) % p for j in range(d)]
-
-    vecs = [to_vec(i) for i in range(n)]
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        vi = vecs[i]
-        for j in range(i, n):
-            vj = vecs[j]
-            add[i, j] = add[j, i] = to_idx([(a + b) % p for a, b in zip(vi, vj)])
-            raw = [0] * (2 * d - 1)
-            for ai, a in enumerate(vi):
-                if a:
-                    for bi, b in enumerate(vj):
-                        raw[ai + bi] = (raw[ai + bi] + a * b) % p
-            vec = raw[:d]
-            for k in range(2 * d - 2, d - 1, -1):
-                c = raw[k]
-                if c:
-                    red = reduction[k]
-                    vec = [(vec[t] + c * red[t]) % p for t in range(d)]
-            mul[i, j] = mul[j, i] = to_idx(vec)
+    # little-endian coefficient vectors: element i is sum_t digits[i, t] x^t
+    weights = p ** np.arange(d)
+    digits = np.arange(n)[:, None] // weights % p
+    # row k holds x^k mod f, for every degree k < 2d-1 of a product
+    xpow = np.zeros((2 * d - 1, d), dtype=np.int64)
+    xpow[:d] = np.eye(d, dtype=np.int64)
+    for k in range(d, 2 * d - 1):
+        xpow[k, 1:] = xpow[k - 1, :-1]
+        xpow[k] = (xpow[k] - xpow[k - 1, -1] * np.array(coeffs[:d])) % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+    prod = np.zeros((n, n, d), dtype=np.int64)
+    for a in range(d):
+        for b in range(d):
+            prod += np.multiply.outer(digits[:, a], digits[:, b])[:, :, None] * xpow[a + b]
+    mul = prod % p @ weights
     return FiniteRing(add, mul, one=1, spec=specs.PolyQuot(p, coeffs, spec.var))
 
 
@@ -510,39 +504,21 @@ def quotient_ring(inner: FiniteRing, ideal_mask: int, spec: specs.RingSpec) -> F
     """The ring of cosets modulo an ideal given as a bitmask."""
     if (ideal_mask >> inner.one) & 1:
         raise NotARing("quotient by the unit ideal is the zero ring")
-    proj = quotient_projection(inner, ideal_mask)
-    n = max(proj) + 1
-    reps = [proj.index(k) for k in range(n)]
-    qadd = np.zeros((n, n), dtype=np.int32)
-    qmul = np.zeros((n, n), dtype=np.int32)
-    add = inner.add_rows
-    mul = inner.mul_rows
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            qadd[i, j] = proj[add[a][b]]
-            qmul[i, j] = proj[mul[a][b]]
-    return FiniteRing(qadd, qmul, one=proj[inner.one], spec=spec)
+    reps, proj = _cosets(inner, ideal_mask)
+    sub = np.ix_(reps, reps)
+    qadd, qmul = proj[inner.add_table[sub]], proj[inner.mul_table[sub]]
+    return FiniteRing(qadd, qmul, one=int(proj[inner.one]), spec=spec)
 
 
 def quotient_projection(inner: FiniteRing, ideal_mask: int) -> list[int]:
     """Index map from inner elements to their cosets in quotient_ring."""
-    ideal_elems = list(bits(ideal_mask))
-    add = inner.add_rows
-    rep = [min(add[a][i] for i in ideal_elems) for a in range(inner.order)]
-    new_index = {r: k for k, r in enumerate(sorted(set(rep)))}
-    return [new_index[r] for r in rep]
+    return _cosets(inner, ideal_mask)[1].tolist()
 
 
-def _build_quotient(spec: specs.Quotient) -> FiniteRing:
-    inner = build(spec.inner)
-    mask = inner.ideal_mask_from_generators(spec.gens)
-    return quotient_ring(inner, mask, spec)
-
-
-def _build_localize(spec: specs.LocalizeAt) -> FiniteRing:
-    inner = build(spec.inner)
-    mask = inner.ideal_mask_from_generators(spec.gens)
-    return localize_at_mask(inner, mask, spec)
+def _cosets(inner: FiniteRing, ideal_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each coset's smallest element, ascending, and each element's coset."""
+    smallest = inner.add_table[:, list(bits(ideal_mask))].min(axis=1)
+    return np.unique(smallest, return_inverse=True)
 
 
 def localize_at_mask(
@@ -585,7 +561,7 @@ def _build_table(spec: specs.TableSpec) -> FiniteRing:
     body = np.asarray(values[1:], dtype=np.int32)
     add = body[: n * n].reshape(n, n)
     mul = body[n * n :].reshape(n, n)
-    return FiniteRing(add, mul, one=1, spec=spec, zero=0)
+    return FiniteRing(add, mul, one=1, spec=spec)
 
 
 def build(spec: specs.RingSpec) -> FiniteRing:
@@ -597,9 +573,11 @@ def build(spec: specs.RingSpec) -> FiniteRing:
     if isinstance(spec, specs.Product):
         return product_ring([build(f) for f in spec.factors], spec)
     if isinstance(spec, specs.Quotient):
-        return _build_quotient(spec)
+        inner = build(spec.inner)
+        return quotient_ring(inner, inner.ideal_mask_from_generators(spec.gens), spec)
     if isinstance(spec, specs.LocalizeAt):
-        return _build_localize(spec)
+        inner = build(spec.inner)
+        return localize_at_mask(inner, inner.ideal_mask_from_generators(spec.gens), spec)
     if isinstance(spec, specs.TableSpec):
         return _build_table(spec)
     raise TypeError(f"not a RingSpec: {spec!r}")

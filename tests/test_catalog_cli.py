@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 
+import numpy as np
 import pytest
 
 from ringlab.catalog import default_catalog
 from ringlab.cli import main
 from ringlab.errors import ParseError
-from ringlab.rings import build
+from ringlab.ideals import all_ideals
+from ringlab.rings import build, mask_of, quotient_projection, quotient_ring
 from ringlab.specs import (
     LocalizeAt,
     PolyQuot,
@@ -90,6 +94,19 @@ def test_default_catalog_builds_and_dedups():
         assert (ring.mul_table == rebuilt.mul_table).all()
         assert ring.one == rebuilt.one
         assert ring.order <= 16
+        # each proper quotient: the projection maps + and * onto the quotient's
+        # tables and one to one, and its kernel is the ideal
+        for ideal in all_ideals(ring):
+            if ring.one in ideal:
+                continue
+            q = quotient_ring(ring, ideal.mask, ring.spec)
+            proj = np.array(quotient_projection(ring, ideal.mask))
+            assert set(proj.tolist()) == set(range(q.order))
+            pairs = np.ix_(proj, proj)
+            assert (proj[ring.add_table] == q.add_table[pairs]).all()
+            assert (proj[ring.mul_table] == q.mul_table[pairs]).all()
+            assert proj[ring.one] == q.one
+            assert mask_of(np.flatnonzero(proj == q.zero).tolist()) == ideal.mask
 
 
 def test_catalog_specs_roundtrip_printer():
@@ -184,6 +201,17 @@ def test_cli_unwritable_json_path(tmp_path, capsys):
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert ".tmp" not in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_cli_json_report_mode(tmp_path, capsys):
+    # the report gets the mode a plain open would give it, not mkstemp's 0600
+    path = tmp_path / "mode.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["check", "Z/4", "--json", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 @pytest.mark.parametrize("prime, ideal", [(0, "x"), (1, "x"), (4, "x, 3*y")])

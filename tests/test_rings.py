@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from ringlab.errors import (
@@ -12,7 +14,9 @@ from ringlab.errors import (
     NotMaximal,
     ParseError,
 )
+from ringlab.groebner import LEX, PolyFp, normal_form
 from ringlab.rings import (
+    FiniteRing,
     build,
     find_isomorphism,
     special_elements,
@@ -197,7 +201,7 @@ def test_table_format_rejects_broken_axioms(tmp_path):
     lines += [" ".join(map(str, row)) for row in rows]
     lines += [" ".join(map(str, row)) for row in src.mul_rows]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(NotARing):
+    with pytest.raises(NotARing, match="addition is not commutative"):
         build(TableSpec(str(path)))
 
 
@@ -210,10 +214,39 @@ def test_table_format_rejects_malformed_file(tmp_path):
 
 def test_ring_axiom_validation_catches_bad_mul():
     r = build(Zmod(4))
-    mul = r.mul_table.copy()
-    mul[2, 3] = 1
-    mul[3, 2] = 1
-    from ringlab.rings import FiniteRing
+    # symmetric edits (table, i, j, value) of Z/4's tables, and the message of
+    # the first failing row, then axiom
+    cases = [
+        ([("mul", 2, 3, 1)], "multiplication is not associative"),
+        ([("add", 1, 2, 0)], "addition is not associative"),
+        ([("mul", 3, 3, 0)], "multiplication is not associative"),
+        ([("mul", 2, 2, 2)], "multiplication does not distribute over addition"),
+        # row 0 fails only distributivity, rows 1-3 additive associativity
+        ([("add", 1, 1, 0), ("mul", 0, 2, 2)], "multiplication does not distribute"),
+    ]
+    for edits, message in cases:
+        tables = {"add": r.add_table.copy(), "mul": r.mul_table.copy()}
+        for name, i, j, value in edits:
+            tables[name][i, j] = tables[name][j, i] = value
+        with pytest.raises(NotARing, match=message):
+            FiniteRing(tables["add"], tables["mul"], one=1, spec=Zmod(4))
 
-    with pytest.raises(NotARing):
-        FiniteRing(r.add_table, mul, one=1, spec=Zmod(4))
+
+def test_polyquot_products_match_groebner_normal_form():
+    # every monic f with p^d <= 27: element i is the polynomial whose
+    # coefficients are the base-p digits of i, lowest degree first
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for d in range(1, 5):
+            n = p**d
+            if n > 27:
+                break
+            polys = [PolyFp(p, ("x",), {(k,): i // p**k % p for k in range(d)}) for i in range(n)]
+            products = [a * b for a in polys for b in polys]
+            for low in itertools.product(range(p), repeat=d):
+                f = PolyFp(p, ("x",), {(k,): c for k, c in enumerate(low + (1,))})
+                expected = [
+                    sum(c * p**k for (k,), c in normal_form(ab, [f], LEX).terms.items())
+                    for ab in products
+                ]
+                r = build(PolyQuot(p, low + (1,)))
+                assert r.mul_table.ravel().tolist() == expected, (p, low)
