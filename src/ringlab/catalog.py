@@ -28,7 +28,7 @@ def default_catalog(max_order: int, bounds: Bounds | None = None) -> list[Finite
                 continue
             for tail in iter_product(range(p), repeat=deg):
                 base_specs.append(PolyQuot(p, tuple(tail) + (1,)))
-    base = [build(spec) for spec in base_specs]
+    base = [build(spec, bounds.element) for spec in base_specs]
     rings: dict[RingSpec, FiniteRing] = {ring.spec: ring for ring in base}
 
     # unordered pairs, factors ordered large-to-small for a canonical spec

@@ -37,8 +37,9 @@ rings.  Witness tie-breaking always picks the lexicographically smallest
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
-from operator import attrgetter
+from operator import and_, attrgetter
 from typing import Callable, Iterable, NamedTuple
 
 from . import specs
@@ -58,7 +59,14 @@ from .ideals import (
     radical,
     zero_ideal,
 )
-from .rings import FiniteRing, bits, localize_at_mask, quotient_projection, quotient_ring
+from .rings import (
+    FiniteRing,
+    bits,
+    localize_at_mask,
+    mask_of,
+    quotient_projection,
+    quotient_ring,
+)
 from .spectra import PureSpectrum, Spectrum, pure_ideals, pure_spectrum, spectrum, vanishing_set
 
 
@@ -230,7 +238,7 @@ class RingContext:
                 self._universe = (self.lattice(), False)
             else:
                 masks = {1 << ring.zero, ring.nil_mask, self.jacobson().mask}
-                principals = sorted({ring.principal_mask(a) for a in range(ring.order)})
+                principals = sorted(set(ring.principal_masks))
                 masks.update(principals)
                 generated = [Ideal(ring, m) for m in principals]
                 for x, i in enumerate(generated):
@@ -258,11 +266,9 @@ def _is_npure(ring: FiniteRing, mask: int) -> bool:
 
 def _mask_sum_has_one(ring: FiniteRing, m1: int, m2: int) -> tuple[bool, tuple[int, int] | None]:
     """1 in I+J iff some u in I has 1-u in J (the sum set is the sum ideal)."""
-    one = ring.one
-    neg = ring.neg_of
-    add = ring.add_rows
+    one_minus = ring.one_minus
     for u in bits(m1):
-        v = add[one][neg[u]]
+        v = one_minus[u]
         if (m2 >> v) & 1:
             return True, (u, v)
     return False, None
@@ -300,21 +306,14 @@ def _npure_def(ctx: RingContext, ideal: Ideal) -> Verdict:
 
 def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
-    add = ring.add_rows
-    neg = ring.neg_of
-    one = ring.one
+    one_minus = ring.one_minus
     choices = []
     for a in ideal.elems:
-        _, stable = ring.ann_stable(a)
-        found = None
-        for b in ideal.elems:
-            c = add[one][neg[b]]
-            if (stable >> c) & 1:
-                found = (b, _min_power_killing(ring, a, c))
-                break
-        if found is None:
+        _, stable = ring.ann_stable[a]
+        b = next((b for b in ideal.elems if (stable >> one_minus[b]) & 1), None)
+        if b is None:
             return Verdict("witness_power", False, {"element": a})
-        choices.append([a, found[0], found[1]])
+        choices.append([a, b, _min_power_killing(ring, a, one_minus[b])])
     return Verdict("witness_power", True, {"choices": choices})
 
 
@@ -322,18 +321,16 @@ def _npure_ann_complement(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
     choices = []
     for a in ideal.elems:
-        t_max, _ = ring.ann_stable(a)
-        found = None
+        t_max, _ = ring.ann_stable[a]
         power = a
         for t in range(1, t_max + 1):
-            ok, pair = _mask_sum_has_one(ring, ring.ann_mask(power), ideal.mask)
+            ok, pair = _mask_sum_has_one(ring, ring.ann_masks[power], ideal.mask)
             if ok:
-                found = (t, pair[0], pair[1])
+                choices.append([a, t, *pair])
                 break
             power = ring.mul_rows[power][a]
-        if found is None:
+        else:
             return Verdict("ann_complement", False, {"element": a})
-        choices.append([a, found[0], found[1], found[2]])
     return Verdict(
         "ann_complement", True, {"choices": choices, "fields": ["a", "t", "u", "v"]}
     )
@@ -342,12 +339,11 @@ def _npure_ann_complement(ctx: RingContext, ideal: Ideal) -> Verdict:
 def _radical_formula_mask(ctx: RingContext, ideal: Ideal) -> int:
     """{a in R : exists n >= 1 with Ann(a^n) + I = R} as a bitmask."""
     ring = ctx.ring
-    out = 0
-    for a in range(ring.order):
-        _, stable = ring.ann_stable(a)
-        if _mask_sum_has_one(ring, stable, ideal.mask)[0]:
-            out |= 1 << a
-    return out
+    return mask_of(
+        a
+        for a, (_, stable) in enumerate(ring.ann_stable)
+        if _mask_sum_has_one(ring, stable, ideal.mask)[0]
+    )
 
 
 def _npure_radical_formula(ctx: RingContext, ideal: Ideal) -> Verdict:
@@ -387,32 +383,21 @@ def _npure_pure_core(ctx: RingContext, ideal: Ideal) -> Verdict:
 
 def _npure_mod_nil(ctx: RingContext, ideal: Ideal) -> Verdict:
     reduced, proj = ctx.reduction()
-    image = 0
-    for a in ideal.elems:
-        image |= 1 << proj[a]
+    image = mask_of(proj[a] for a in ideal.elems)
     return _scan_verdict("mod_nil", reduced, image, reduced.zero_set, image=list(bits(image)))
 
 
 def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
-    add = ring.add_rows
-    neg = ring.neg_of
-    one = ring.one
     elems = list(ideal.elems)
     k = len(elems)
-    complements = [add[one][neg[b]] for b in elems]
+    complements = [ring.one_minus[b] for b in elems]
     # ok_mask[ai] has bit bi set when elems[bi] eventually kills elems[ai]
-    ok_masks = []
-    for a in elems:
-        _, stable = ring.ann_stable(a)
-        m = 0
-        for bi, c in enumerate(complements):
-            if (stable >> c) & 1:
-                m |= 1 << bi
-        ok_masks.append(m)
-    common = (1 << k) - 1
-    for m in ok_masks:
-        common &= m
+    ok_masks = [
+        mask_of(bi for bi, c in enumerate(complements) if (ring.ann_stable[a][1] >> c) & 1)
+        for a in elems
+    ]
+    common = reduce(and_, ok_masks, (1 << k) - 1)
     if common:
         bi = (common & -common).bit_length() - 1
         b = elems[bi]
@@ -421,13 +406,8 @@ def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
         return Verdict("finite_subset", True, {"uniform": [b, t]})
     # no single witness covers the whole ideal: check all subsets of size <= 3
     for size in (1, 2, 3):
-        if size > k:
-            break
         for combo in combinations(range(k), size):
-            m = (1 << k) - 1
-            for ai in combo:
-                m &= ok_masks[ai]
-            if not m:
+            if not reduce(and_, (ok_masks[ai] for ai in combo)):
                 return Verdict(
                     "finite_subset", False, {"subset": [elems[ai] for ai in combo]}
                 )
@@ -506,11 +486,11 @@ UNIVERSE = Family(
 )
 LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice()), _named_ideal)
 PRINCIPAL = Family(
-    lambda ctx: ((a, ctx.ring.principal_mask(a)) for a in range(ctx.ring.order)),
+    lambda ctx: enumerate(ctx.ring.principal_masks),
     lambda a, mask, detail: {"generator": a, **detail},
 )
 ANNIHILATORS = Family(
-    lambda ctx: ((a, ctx.ring.ann_mask(a)) for a in range(ctx.ring.order)),
+    lambda ctx: enumerate(ctx.ring.ann_masks),
     lambda a, mask, detail: {"element": a, "ann_element": detail["element"]},
 )
 # the same members, with each failing annihilator listed in the witness
@@ -648,8 +628,8 @@ def _square_factor(ring: FiniteRing, a: int) -> int | None:
 def _pure_annihilator_power(ring: FiniteRing, a: int) -> int | None:
     """The smallest n with Ann(a^n) pure."""
     power = a
-    for n in range(1, ring.ann_stable(a)[0] + 1):
-        if _is_pure(ring, ring.ann_mask(power)):
+    for n in range(1, ring.ann_stable[a][0] + 1):
+        if _is_pure(ring, ring.ann_masks[power]):
             return n
         power = ring.mul_rows[power][a]
     return None
@@ -657,8 +637,8 @@ def _pure_annihilator_power(ring: FiniteRing, a: int) -> int | None:
 
 def _idempotent_generator(ring: FiniteRing, a: int) -> int | None:
     """The smallest idempotent e with Re = Ann(a)."""
-    ann = ring.ann_mask(a)
-    return next((e for e in ring.idempotents() if ring.principal_mask(e) == ann), None)
+    ann = ring.ann_masks[a]
+    return next((e for e in ring.idempotents if ring.principal_masks[e] == ann), None)
 
 
 def _spectra_difference(ctx: RingContext) -> dict | None:
@@ -690,12 +670,10 @@ def _nested_route(method: str, differ: Callable[[RingContext, Ideal, Ideal], boo
 
 
 def _zero_divisor_pairs(ring: FiniteRing):
-    zero = ring.zero
-    for a in range(ring.order):
-        if a == zero:
-            continue
-        for b in bits(ring.ann_mask(a)):
-            if b != zero:
+    nonzero = ~(1 << ring.zero)
+    for a, ann in enumerate(ring.ann_masks):
+        if a != ring.zero:
+            for b in bits(ann & nonzero):
                 yield a, b
 
 
@@ -709,12 +687,12 @@ def _cover_route(method: str, both_powers: bool):
         for a, b in _zero_divisor_pairs(ring):
             if both_powers and b < a:
                 continue  # symmetric condition
-            t = ring.ann_stable(b)[0]
+            t = ring.ann_stable[b][0]
             if both_powers:
-                t = max(ring.ann_stable(a)[0], t)
+                t = max(ring.ann_stable[a][0], t)
             pa, pb = a, b
             for _ in range(t):
-                if _mask_sum_has_one(ring, ring.ann_mask(pa), ring.ann_mask(pb))[0]:
+                if _mask_sum_has_one(ring, ring.ann_masks[pa], ring.ann_masks[pb])[0]:
                     break
                 if both_powers:
                     pa = mul[pa][a]
@@ -844,7 +822,7 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
         _choice_route(
             "annihilators_idempotent_generated",
             _idempotent_generator,
-            lambda ring, a: {"ann": list(bits(ring.ann_mask(a)))},
+            lambda ring, a: {"ann": list(bits(ring.ann_masks[a]))},
         ),
         _pp_composite("mid_and_fractions_vnr", "mid", _ANNIHILATORS_NPURE[1]),
         _pp_composite("gpf_and_fractions_vnr", "gpf", _ANNIHILATOR_POWER_PURE[1]),

@@ -69,9 +69,8 @@ def _print_property_lines(doc: dict) -> None:
 
 
 def cmd_check(args) -> int:
-    spec = parse_ring_spec(args.spec)
-    ring = build(spec)
     bounds = _bounds_from_args(args)
+    ring = build(parse_ring_spec(args.spec), bounds.element)
     properties = args.properties.split(",") if args.properties else None
     report = classify_ring(ring, properties=properties, bounds=bounds)
     doc = build_document([report], bounds)
@@ -118,9 +117,8 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = parse_ring_spec(args.spec)
-    ring = build(spec)
     bounds = _bounds_from_args(args)
+    ring = build(parse_ring_spec(args.spec), bounds.element)
     ctx = RingContext(ring, bounds)
     spect = ctx.spectrum()
 

@@ -69,7 +69,7 @@ class Ideal:
         for a in self.elems:
             if not (got >> a) & 1:
                 gens.append(a)
-                got = ring.ideal_mask_closure(got | ring.principal_mask(a))
+                got = ring.ideal_mask_closure(got | ring.principal_masks[a])
                 if got == self.mask:
                     break
         return tuple(gens) if gens else (ring.zero,)
@@ -139,10 +139,9 @@ def _purity_scan(
     Returns (True, [[a, b], ...]) with the smallest b for each a, or
     (False, the first a without one)."""
     mul = ring.mul_rows
-    to_one = ring.add_rows[ring.one]
-    neg = ring.neg_of
+    one_minus = ring.one_minus
     elems = list(bits(mask))
-    complements = [(b, to_one[neg[b]]) for b in elems]
+    complements = [(b, one_minus[b]) for b in elems]
     choices = []
     for a in elems:
         row = mul[a]
@@ -177,14 +176,9 @@ def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
 
 
 def radical(i: Ideal) -> Ideal:
-    """{a : some power of a lies in I}, by power-cycle scan per element."""
-    ring = i.ring
+    """{a : some power of a lies in I}, read off the power-reach masks."""
     mask = i.mask
-    out = 0
-    for a in range(ring.order):
-        if any((mask >> p) & 1 for p in ring.power_sequence(a)):
-            out |= 1 << a
-    return Ideal(ring, out)
+    return Ideal(i.ring, mask_of(a for a, m in enumerate(i.ring.power_masks) if m & mask))
 
 
 def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
@@ -194,13 +188,13 @@ def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
             raise RingMismatch("ideal of a different ring")
         mask = (1 << ring.order) - 1
         for a in target.elems:
-            mask &= ring.ann_mask(a)
+            mask &= ring.ann_masks[a]
         return Ideal(ring, mask)
     if isinstance(target, Element):
         if target.ring is not ring:
             raise ForeignElement("element of a different ring")
         target = target.index
-    return Ideal(ring, ring.ann_mask(target))
+    return Ideal(ring, ring.ann_masks[target])
 
 
 def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
@@ -214,7 +208,7 @@ def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> 
             f"order {ring.order} exceeds lattice bound {lattice_bound}"
         )
     masks = {1 << ring.zero}
-    masks.update(ring.principal_mask(a) for a in range(ring.order))
+    masks.update(ring.principal_masks)
     add = ring.add_rows
     worklist = list(masks)
     while worklist:
@@ -318,21 +312,16 @@ def jacobson_radical(ring: FiniteRing, maximal: list[Ideal]) -> Ideal:
 def power_intersection_hypothesis(i: Ideal) -> tuple[bool, int | None]:
     """For every x does some n give R*x^n  intersect I  =  x^n * I?
 
-    The exponent search is bounded by the power-cycle length of x.  Returns
+    The exponent search runs over the powers of x that x reaches.  Returns
     (verdict, failing x).  A positive verdict is a sufficient condition for
     the ideal to be N-pure, which tests exercise as an implication.
     """
     ring = i.ring
     mul = ring.mul_rows
-    for x in range(ring.order):
-        ok = False
-        for xn in ring.power_sequence(x):
-            left = ring.principal_mask(xn) & i.mask
-            row = mul[xn]
-            right = mask_of(row[e] for e in i.elems)
-            if left == right:
-                ok = True
-                break
-        if not ok:
+    for x, powers in enumerate(ring.power_masks):
+        if not any(
+            ring.principal_masks[xn] & i.mask == mask_of(mul[xn][e] for e in i.elems)
+            for xn in bits(powers)
+        ):
             return False, x
     return True, None

@@ -5,15 +5,21 @@ A ring of order N is a pair of N x N Cayley tables over element indices
 identity is recorded explicitly.  Every constructor validates the full
 axiom set (commutativity, associativity, identities, inverses,
 distributivity) before returning, so downstream code never re-checks.
+The element data the deciders read (power reach, Ann(a), Ra, the stable
+Ann(a^oo), 1 - b) is derived from the tables on first use, once for all
+elements.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import specs
+from .bounds import DEFAULT_ELEMENT_BOUND
 from .errors import (
     BadModulus,
     ForeignElement,
@@ -21,6 +27,7 @@ from .errors import (
     NotAnIdeal,
     NotARing,
     NotMaximal,
+    OrderTooLarge,
     ParseError,
 )
 
@@ -38,6 +45,15 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _row_masks(flags: np.ndarray) -> list[int]:
+    """The bitmask of each row of a boolean array (bit j from column j); a
+    1-D array is one row."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def is_prime(n: int) -> bool:
@@ -156,8 +172,9 @@ class Element:
 class FiniteRing:
     """Carrier 0..N-1 with full addition/multiplication tables.
 
-    Immutable after construction; derived data (power cycles, annihilator
-    masks, special-element masks) is cached lazily and never mutated.
+    Immutable after construction; derived data (power reach, annihilator,
+    principal-ideal and special-element masks, 1 - b) is computed on first
+    use, once for all elements, with whole-array operations on the tables.
     """
 
     def __init__(
@@ -184,15 +201,6 @@ class FiniteRing:
         self.add_rows: list[list[int]] = add.tolist()
         self.mul_rows: list[list[int]] = mul.tolist()
         self.neg_of: list[int] = np.argmax(add == 0, axis=1).tolist()
-        self._power_seq: dict[int, list[int]] = {}
-        self._ann_mask: dict[int, int] = {}
-        self._ann_stable: dict[int, tuple[int, int]] = {}
-        self._principal: dict[int, int] = {}
-        self._nil_mask: int | None = None
-        self._unit_mask: int | None = None
-        self._jac_mask: int | None = None
-        self._idempotents: list[int] | None = None
-        self._nil_set: frozenset[int] | None = None
         # {0} as a set: the accepted values of a(1-b) in a purity scan
         self.zero_set = frozenset((0,))
 
@@ -250,115 +258,92 @@ class FiniteRing:
             k >>= 1
         return result
 
-    # -- cached structural data ---------------------------------------
+    # -- derived element data: each list is computed once, for every element
 
-    def power_sequence(self, a: int) -> list[int]:
-        """Powers a^1, a^2, ... up to (and excluding) the first repeat."""
-        seq = self._power_seq.get(a)
-        if seq is None:
-            seq = []
-            seen = set()
-            p = a
-            row = self.mul_rows
-            while p not in seen:
-                seen.add(p)
-                seq.append(p)
-                p = row[p][a]
-            self._power_seq[a] = seq
-        return seq
+    @cached_property
+    def power_masks(self) -> list[int]:
+        """power_masks[a] is the bitmask of {a, a^2, ...}."""
+        n = self.order
+        idx = np.arange(n)
+        reach = np.zeros((n, n), dtype=bool)
+        power = idx
+        # a^k is eventually periodic: stop when every a has returned to a
+        # power it already reached
+        while not reach[idx, power].all():
+            reach[idx, power] = True
+            power = self.mul_table[power, idx]
+        return _row_masks(reach)
 
-    def is_nilpotent(self, a: int) -> bool:
-        return self.zero in self.power_sequence(a)
+    @cached_property
+    def ann_masks(self) -> list[int]:
+        """ann_masks[a] is the bitmask of Ann(a) = {x : x*a = 0}."""
+        return _row_masks(self.mul_table == self.zero)
 
-    @property
-    def nil_mask(self) -> int:
-        """Bitmask of the nilpotent elements (the nilradical as a set)."""
-        if self._nil_mask is None:
-            self._nil_mask = mask_of(a for a in range(self.order) if self.is_nilpotent(a))
-        return self._nil_mask
+    @cached_property
+    def principal_masks(self) -> list[int]:
+        """principal_masks[a] is the bitmask of the principal ideal R*a."""
+        n = self.order
+        members = np.zeros((n, n), dtype=bool)
+        members[np.arange(n)[:, None], self.mul_table] = True
+        return _row_masks(members)
 
-    @property
-    def nil_set(self) -> frozenset[int]:
-        """The nilradical as a set: the accepted values of an N-purity scan."""
-        if self._nil_set is None:
-            self._nil_set = frozenset(bits(self.nil_mask))
-        return self._nil_set
+    @cached_property
+    def one_minus(self) -> list[int]:
+        """one_minus[b] is 1 - b."""
+        return self.add_table[self.one, self.neg_of].tolist()
 
-    @property
-    def unit_mask(self) -> int:
-        if self._unit_mask is None:
-            one = self.one
-            self._unit_mask = mask_of(
-                a for a in range(self.order) if one in self.mul_rows[a]
-            )
-        return self._unit_mask
-
-    @property
-    def jacobson_mask(self) -> int:
-        """Bitmask of {a : 1 - a*b is a unit for every b}.
-
-        Element-level characterization of the intersection of all maximal
-        ideals; available regardless of any lattice bound.
-        """
-        if self._jac_mask is None:
-            units = self.unit_mask
-            one = self.one
-            neg = self.neg_of
-            add = self.add_rows
-            out = 0
-            for a in range(self.order):
-                row = self.mul_rows[a]
-                if all((units >> add[one][neg[row[b]]]) & 1 for b in range(self.order)):
-                    out |= 1 << a
-            self._jac_mask = out
-        return self._jac_mask
-
-    def idempotents(self) -> list[int]:
-        if self._idempotents is None:
-            self._idempotents = [a for a in range(self.order) if self.mul_rows[a][a] == a]
-        return self._idempotents
-
-    def principal_mask(self, a: int) -> int:
-        """Bitmask of the principal ideal R*a."""
-        m = self._principal.get(a)
-        if m is None:
-            m = mask_of(self.mul_rows[r][a] for r in range(self.order))
-            self._principal[a] = m
-        return m
-
-    def ann_mask(self, a: int) -> int:
-        """Bitmask of {x : x*a = 0}."""
-        m = self._ann_mask.get(a)
-        if m is None:
-            zero = self.zero
-            row = self.mul_rows[a]
-            m = mask_of(x for x in range(self.order) if row[x] == zero)
-            self._ann_mask[a] = m
-        return m
-
-    def ann_stable(self, a: int) -> tuple[int, int]:
-        """Smallest t with Ann(a^t) = Ann(a^(t+1)), and that stable mask.
+    @cached_property
+    def ann_stable(self) -> list[tuple[int, int]]:
+        """ann_stable[a] is the smallest t with Ann(a^t) = Ann(a^(t+1)), and
+        that stable mask.
 
         The annihilator chain Ann(a) <= Ann(a^2) <= ... stabilizes after at
         most log2(N) strict steps, and once two consecutive terms agree all
         later ones do; existential exponent searches only need the stable
         term.
         """
-        cached = self._ann_stable.get(a)
-        if cached is None:
-            t = 1
-            power = a
-            mask = self.ann_mask(power)
-            while True:
-                power = self.mul_rows[power][a]
-                nxt = self.ann_mask(power)
-                if nxt == mask:
-                    break
-                mask = nxt
-                t += 1
-            cached = (t, mask)
-            self._ann_stable[a] = cached
-        return cached
+        idx = np.arange(self.order)
+        kills = self.mul_table == self.zero
+        t = np.ones(self.order, dtype=np.intp)
+        power = idx
+        while True:
+            nxt = self.mul_table[power, idx]
+            growing = (kills[power] != kills[nxt]).any(axis=1)
+            if not growing.any():
+                break
+            t += growing
+            power = nxt
+        ann = self.ann_masks
+        return [(s, ann[p]) for s, p in zip(t.tolist(), power.tolist())]
+
+    @cached_property
+    def nil_mask(self) -> int:
+        """Bitmask of the nilpotent elements (the nilradical as a set)."""
+        return mask_of(a for a, m in enumerate(self.power_masks) if m & 1)
+
+    @cached_property
+    def nil_set(self) -> frozenset[int]:
+        """The nilradical as a set: the accepted values of an N-purity scan."""
+        return frozenset(bits(self.nil_mask))
+
+    @cached_property
+    def unit_mask(self) -> int:
+        return _row_masks((self.mul_table == self.one).any(axis=1))[0]
+
+    @cached_property
+    def jacobson_mask(self) -> int:
+        """Bitmask of {a : 1 - a*b is a unit for every b}.
+
+        Element-level characterization of the intersection of all maximal
+        ideals; available regardless of any lattice bound.
+        """
+        units = (self.mul_table == self.one).any(axis=1)
+        one_minus = np.asarray(self.one_minus)
+        return _row_masks(units[one_minus[self.mul_table]].all(axis=1))[0]
+
+    @cached_property
+    def idempotents(self) -> list[int]:
+        return np.flatnonzero(self.mul_table.diagonal() == np.arange(self.order)).tolist()
 
     def additive_order(self, a: int) -> int:
         k = 1
@@ -394,7 +379,7 @@ class FiniteRing:
             gi = self._idx(g) if isinstance(g, Element) else g
             if not 0 <= gi < self.order:
                 raise NotAnIdeal(f"generator {gi} out of range for order {self.order}")
-            seed |= self.principal_mask(gi)
+            seed |= self.principal_masks[gi]
         return self.ideal_mask_closure(seed)
 
     def is_maximal_mask(self, ideal_mask: int) -> bool:
@@ -402,29 +387,17 @@ class FiniteRing:
         is invertible modulo it."""
         if (ideal_mask >> self.one) & 1:
             return False
-        mul = self.mul_rows
-        one = self.one
-        neg = self.neg_of
-        add = self.add_rows
-        for a in range(self.order):
-            if (ideal_mask >> a) & 1:
-                continue
-            row = mul[a]
-            if not any((ideal_mask >> add[row[b]][neg[one]]) & 1 for b in range(self.order)):
-                return False
-        return True
+        to_one = self.add_rows[self.one]
+        one_plus = mask_of(to_one[i] for i in bits(ideal_mask))
+        return all(
+            m & one_plus
+            for a, m in enumerate(self.principal_masks)
+            if not (ideal_mask >> a) & 1
+        )
 
     def localization_kernel_mask(self, prime_mask: int) -> int:
         """Bitmask of {a : s*a = 0 for some s outside the given prime}."""
-        outside = [s for s in range(self.order) if not (prime_mask >> s) & 1]
-        zero = self.zero
-        mul = self.mul_rows
-        out = 0
-        for a in range(self.order):
-            row = mul[a]
-            if any(row[s] == zero for s in outside):
-                out |= 1 << a
-        return out
+        return mask_of(a for a, m in enumerate(self.ann_masks) if m & ~prime_mask)
 
     def local_maximal_mask(self) -> int | None:
         """If the non-units form an ideal, return their mask (the unique
@@ -444,19 +417,27 @@ class FiniteRing:
 # -- constructors -------------------------------------------------------
 
 
-def _build_zmod(spec: specs.Zmod) -> FiniteRing:
+def _check_order(n: int, max_order: int) -> None:
+    if n > max_order:
+        raise OrderTooLarge(f"order {n} exceeds element bound {max_order}")
+
+
+def _build_zmod(spec: specs.Zmod, max_order: int) -> FiniteRing:
     n = spec.n
     if n < 2:
         raise BadModulus(f"Z/{n} needs n >= 2")
+    _check_order(n, max_order)
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
     return FiniteRing(add, mul, one=1, spec=spec)
 
 
-def _build_polyquot(spec: specs.PolyQuot) -> FiniteRing:
+def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
     p = spec.p
-    if not is_prime(p):
+    # a p above the bound fails the order check below, before a trial
+    # division that would not end for a huge p
+    if p <= max_order and not is_prime(p):
         raise BadModulus(f"GF({p}) needs a prime characteristic")
     coeffs = tuple(c % p for c in spec.coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -465,6 +446,7 @@ def _build_polyquot(spec: specs.PolyQuot) -> FiniteRing:
     if d < 1 or coeffs[-1] != 1:
         raise NonMonic(f"modulus {specs.print_univariate(spec.coeffs, spec.var)} must be monic of degree >= 1")
     n = p**d
+    _check_order(n, max_order)
     # little-endian coefficient vectors: element i is sum_t digits[i, t] x^t
     weights = p ** np.arange(d)
     digits = np.arange(n)[:, None] // weights % p
@@ -541,7 +523,7 @@ def localize_at_mask(
     return local
 
 
-def _build_table(spec: specs.TableSpec) -> FiniteRing:
+def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
     try:
         with open(spec.path, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
@@ -554,6 +536,7 @@ def _build_table(spec: specs.TableSpec) -> FiniteRing:
     if not values:
         raise ParseError(f"table file {spec.path} is empty")
     n = values[0]
+    _check_order(n, max_order)
     if n < 2 or len(values) != 1 + 2 * n * n:
         raise ParseError(
             f"table file {spec.path}: expected 1 + 2*N^2 integers for N={n}, got {len(values)}"
@@ -564,22 +547,29 @@ def _build_table(spec: specs.TableSpec) -> FiniteRing:
     return FiniteRing(add, mul, one=1, spec=spec)
 
 
-def build(spec: specs.RingSpec) -> FiniteRing:
-    """Construct and validate the finite ring denoted by a RingSpec."""
+def build(spec: specs.RingSpec, max_order: int = DEFAULT_ELEMENT_BOUND) -> FiniteRing:
+    """Construct and validate the finite ring denoted by a RingSpec.
+
+    Every ring constructed on the way, factors and inner rings included, is
+    checked against max_order before its tables are allocated; a quotient
+    or localization is no larger than its inner ring.
+    """
     if isinstance(spec, specs.Zmod):
-        return _build_zmod(spec)
+        return _build_zmod(spec, max_order)
     if isinstance(spec, specs.PolyQuot):
-        return _build_polyquot(spec)
+        return _build_polyquot(spec, max_order)
     if isinstance(spec, specs.Product):
-        return product_ring([build(f) for f in spec.factors], spec)
+        factors = [build(f, max_order) for f in spec.factors]
+        _check_order(math.prod(f.order for f in factors), max_order)
+        return product_ring(factors, spec)
     if isinstance(spec, specs.Quotient):
-        inner = build(spec.inner)
+        inner = build(spec.inner, max_order)
         return quotient_ring(inner, inner.ideal_mask_from_generators(spec.gens), spec)
     if isinstance(spec, specs.LocalizeAt):
-        inner = build(spec.inner)
+        inner = build(spec.inner, max_order)
         return localize_at_mask(inner, inner.ideal_mask_from_generators(spec.gens), spec)
     if isinstance(spec, specs.TableSpec):
-        return _build_table(spec)
+        return _build_table(spec, max_order)
     raise TypeError(f"not a RingSpec: {spec!r}")
 
 
@@ -588,23 +578,17 @@ def build(spec: specs.RingSpec) -> FiniteRing:
 
 def special_elements(ring: FiniteRing, kind: str) -> frozenset[int]:
     """Exhaustive scan for units / idempotents / nilpotents / zero_divisors."""
-    n = ring.order
     if kind == "units":
         return frozenset(bits(ring.unit_mask))
     if kind == "idempotents":
-        return frozenset(ring.idempotents())
+        return frozenset(ring.idempotents)
     if kind == "nilpotents":
         return frozenset(bits(ring.nil_mask))
     if kind == "zero_divisors":
-        zero = ring.zero
-        out = set()
-        for a in range(n):
-            if a == zero:
-                continue
-            row = ring.mul_rows[a]
-            if any(row[b] == zero for b in range(n) if b != zero):
-                out.add(a)
-        return frozenset(out)
+        only_zero = 1 << ring.zero
+        return frozenset(
+            a for a, m in enumerate(ring.ann_masks) if a != ring.zero and m != only_zero
+        )
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -612,12 +596,13 @@ def special_elements(ring: FiniteRing, kind: str) -> frozenset[int]:
 
 
 def _profile(ring: FiniteRing, a: int) -> tuple:
+    powers = ring.power_masks[a]
     return (
         ring.additive_order(a),
-        ring.is_nilpotent(a),
+        powers & 1,
         ring.mul_rows[a][a] == a,
         (ring.unit_mask >> a) & 1,
-        len(ring.power_sequence(a)),
+        powers.bit_count(),
     )
 
 
@@ -669,21 +654,19 @@ def find_isomorphism(r1: FiniteRing, r2: FiniteRing) -> list[int] | None:
 
     order_by = sorted(range(n), key=lambda a: (-r1.additive_order(a), a))
 
+    def undo(trail: list[int]) -> None:
+        for t in trail:
+            used[phi[t]] = False
+            phi[t] = -1
+
     def assign(a: int, b: int) -> list[int] | None:
         trail = [a]
         phi[a] = b
         used[b] = True
         if propagate(trail):
             return trail
-        for t in trail:
-            used[phi[t]] = False
-            phi[t] = -1
+        undo(trail)
         return None
-
-    def undo(trail: list[int]) -> None:
-        for t in trail:
-            used[phi[t]] = False
-            phi[t] = -1
 
     def search() -> bool:
         a = next((x for x in order_by if phi[x] < 0), -1)

@@ -176,6 +176,21 @@ def test_cli_spectrum(capsys):
     assert "exceeds lattice bound 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, order, bound", [
+    (["check", "Z/99999999999999999999"], 99999999999999999999, 200),
+    (["check", "GF(2)[x]/(x^40)"], 2**40, 200),
+    (["spectrum", "product(Z/10000000, Z/10000000)"], 10**7, 200),
+    (["check", "product(Z/20, Z/20)"], 400, 200),
+    (["spectrum", "quotient(Z/12; 2)", "--element-bound", "10"], 12, 10),
+    (["verify-catalog", "--max-order", "4", "--element-bound", "3"], 4, 3),
+])
+def test_cli_element_bound_checked_before_building(capsys, argv, order, bound):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {order} exceeds element bound {bound}\n"
+
+
 @pytest.mark.parametrize("spec, reason", [
     ("Z/20", "order 20 exceeds lattice bound 16"),
     ("Z/30", "order 30 exceeds pure-spectrum bound 24"),

@@ -246,7 +246,7 @@ def test_gpf_witnesses_recheck():
     v = ring_class(r, "gpf", "annihilator_power_pure")
     assert v.value
     for a, n in v.witness["choices"]:
-        ok, _ = _purity_scan(r, r.ann_mask(r.pow_index(a, n)), r.zero_set)
+        ok, _ = _purity_scan(r, r.ann_masks[r.pow_index(a, n)], r.zero_set)
         assert ok
         # a = 2 needs n = 2: Ann(2) = (6) is not pure but Ann(4) = (3) is
         if a == 2:
@@ -259,7 +259,7 @@ def test_pp_idempotent_witnesses_recheck():
     assert v.value
     for a, e in v.witness["choices"]:
         assert r6.mul_rows[e][e] == e
-        assert r6.principal_mask(e) == r6.ann_mask(a)
+        assert r6.principal_masks[e] == r6.ann_masks[a]
 
 
 def test_npure_primes_examples():

@@ -130,14 +130,14 @@ def test_annihilator_chain_stabilizes():
             masks = []
             power = a
             for _ in range(r.order + 1):
-                masks.append(r.ann_mask(power))
+                masks.append(r.ann_masks[power])
                 power = r.mul_rows[power][a]
             for i in range(len(masks) - 1):
                 assert masks[i] | masks[i + 1] == masks[i + 1]  # ascending
                 if masks[i] == masks[i + 1]:
                     assert all(m == masks[i] for m in masks[i + 1 :])
                     break
-            t, stable = r.ann_stable(a)
+            t, stable = r.ann_stable[a]
             assert stable == masks[t - 1] == masks[t]
 
 

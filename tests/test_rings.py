@@ -6,12 +6,14 @@ import itertools
 
 import pytest
 
+from ringlab.catalog import default_catalog
 from ringlab.errors import (
     BadModulus,
     ForeignElement,
     NonMonic,
     NotARing,
     NotMaximal,
+    OrderTooLarge,
     ParseError,
 )
 from ringlab.groebner import LEX, PolyFp, normal_form
@@ -19,6 +21,7 @@ from ringlab.rings import (
     FiniteRing,
     build,
     find_isomorphism,
+    mask_of,
     special_elements,
 )
 from ringlab.specs import LocalizeAt, PolyQuot, Product, Quotient, TableSpec, Zmod
@@ -104,16 +107,119 @@ def test_special_elements_polyquot():
     assert special_elements(r, "nilpotents") == {0, 2}  # 0 and x
 
 
+def power_sequence(ring, a):
+    """Powers a^1, a^2, ... up to (and excluding) the first repeat."""
+    seq = []
+    p = a
+    while p not in seq:
+        seq.append(p)
+        p = ring.mul_rows[p][a]
+    return seq
+
+
 def test_power_cycle_periodicity():
     for spec in (Zmod(12), Zmod(8), PolyQuot(3, (0, 0, 1))):
         r = build(spec)
         for a in range(r.order):
-            seq = r.power_sequence(a)
+            seq = power_sequence(r, a)
+            assert mask_of(seq) == r.power_masks[a]
             nxt = r.mul_rows[seq[-1]][a]  # first repeated power
             start = seq.index(nxt)  # 0-based: a^(start+1) == a^(len+1)
             period = len(seq) - start
             for k in range(start + 1, len(seq) + 1):
                 assert r.pow_index(a, k + period) == r.pow_index(a, k)
+
+
+# plain loop definitions of the derived element data, one element at a time
+
+
+def _one_minus(ring, b):
+    neg = next(x for x in range(ring.order) if ring.add_rows[b][x] == ring.zero)
+    return ring.add_rows[ring.one][neg]
+
+
+def _ann(ring, a):
+    return mask_of(x for x in range(ring.order) if ring.mul_rows[a][x] == ring.zero)
+
+
+def _ann_stable(ring, a):
+    t, power = 1, a
+    while _ann(ring, power) != _ann(ring, ring.mul_rows[power][a]):
+        t, power = t + 1, ring.mul_rows[power][a]
+    return t, _ann(ring, power)
+
+
+def _is_unit(ring, a):
+    return ring.one in ring.mul_rows[a]
+
+
+def _jacobson(ring):
+    """{a : 1 - ab is a unit for every b}."""
+    units = {a for a in range(ring.order) if _is_unit(ring, a)}
+    one_minus = [_one_minus(ring, b) for b in range(ring.order)]
+    return mask_of(
+        a
+        for a in range(ring.order)
+        if all(one_minus[ring.mul_rows[a][b]] in units for b in range(ring.order))
+    )
+
+
+REFERENCE = {
+    "power_masks": lambda r: [mask_of(power_sequence(r, a)) for a in range(r.order)],
+    "ann_masks": lambda r: [_ann(r, a) for a in range(r.order)],
+    "principal_masks": lambda r: [
+        mask_of(r.mul_rows[x][a] for x in range(r.order)) for a in range(r.order)
+    ],
+    "ann_stable": lambda r: [_ann_stable(r, a) for a in range(r.order)],
+    "one_minus": lambda r: [_one_minus(r, b) for b in range(r.order)],
+    "nil_mask": lambda r: mask_of(a for a in range(r.order) if r.zero in power_sequence(r, a)),
+    "unit_mask": lambda r: mask_of(a for a in range(r.order) if _is_unit(r, a)),
+    "jacobson_mask": _jacobson,
+    "idempotents": lambda r: [a for a in range(r.order) if r.mul_rows[a][a] == a],
+}
+
+
+def test_element_data_matches_reference_loops():
+    large = [
+        Zmod(200),
+        Zmod(128),
+        Product((Zmod(8), Zmod(8))),
+        PolyQuot(2, (1, 1, 0, 0, 0, 0, 0, 1)),
+    ]
+    for ring in default_catalog(16) + [build(spec) for spec in large]:
+        for name, reference in REFERENCE.items():
+            assert getattr(ring, name) == reference(ring), (ring.name, name)
+
+
+def test_element_data_is_computed_on_first_use():
+    ring = build(Zmod(12))
+    assert not set(REFERENCE) & set(vars(ring))
+    assert ring.ann_masks[4] == mask_of((0, 3, 6, 9))
+    assert "ann_masks" in vars(ring)
+
+
+@pytest.mark.parametrize("spec, max_order, order", [
+    (Zmod(10**20), 200, 10**20),
+    (PolyQuot(2, (0,) * 40 + (1,)), 200, 2**40),
+    (PolyQuot(1000003, (0, 1)), 200, 1000003),
+    # every factor is within the bound, the product is not
+    (Product((Zmod(4), Zmod(4))), 10, 16),
+    # inner rings are checked although the result would be within the bound
+    (Product((Zmod(2), Zmod(12))), 10, 12),
+    (Quotient(Zmod(12), (2,)), 10, 12),
+    (LocalizeAt(Zmod(12), (2,)), 10, 12),
+])
+def test_build_checks_element_bound_before_allocating(spec, max_order, order):
+    with pytest.raises(OrderTooLarge, match=f"^order {order} exceeds element bound {max_order}$"):
+        build(spec, max_order)
+
+
+def test_build_checks_table_order_before_reading_entries(tmp_path):
+    path = tmp_path / "big.tbl"
+    path.write_text("1000000 0 1\n")
+    with pytest.raises(OrderTooLarge, match="order 1000000 exceeds element bound 200"):
+        build(TableSpec(str(path)))
+    assert build(Zmod(12), 12).order == 12
 
 
 def test_foreign_element_rejected():

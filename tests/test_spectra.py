@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from operator import and_
+
 import pytest
 
+from ringlab.catalog import default_catalog
 from ringlab.errors import NotPrime
 from ringlab.ideals import (
     _purity_scan,
@@ -13,7 +18,7 @@ from ringlab.ideals import (
     is_prime_ideal,
     radical,
 )
-from ringlab.rings import build
+from ringlab.rings import bits, build
 from ringlab.spectra import (
     ker_pi,
     pure_ideals,
@@ -151,7 +156,7 @@ def test_pure_ideals_are_idempotent_generated():
     # classical cross-check, recomputed rather than assumed
     for spec in SMALL_SPECS:
         r = build(spec)
-        idem_principal = {r.principal_mask(e) for e in r.idempotents()}
+        idem_principal = {r.principal_masks[e] for e in r.idempotents}
         assert {i.mask for i in _pure_ideals(r)} == idem_principal
 
 
@@ -200,3 +205,27 @@ def test_pure_mask_scan_matches_bruteforce():
                 for a in i.elems
             )
             assert _purity_scan(r, i.mask, r.zero_set)[0] == expected
+
+
+def _one_in_sum(ring, i_mask, k_mask):
+    """1 in I + K for ideals I, K: some u in I has 1 - u in K."""
+    return any((k_mask >> ring.one_minus[u]) & 1 for u in bits(i_mask))
+
+
+def test_purity_oracle_from_generator_annihilators():
+    # for I = (g_1, ..., g_k): I is pure iff 1 in I + (Ann(g_1) & ... & Ann(g_k)),
+    # and N-pure iff 1 in I + (Ann(g_1^oo) & ... & Ann(g_k^oo)); unlike the
+    # per-element witness scans, this form says False on 503 catalog ideals
+    counts = Counter()
+    for r in default_catalog(16):
+        full = (1 << r.order) - 1
+        for i in all_ideals(r):
+            gens = i.generators()
+            pure = _one_in_sum(r, i.mask, reduce(and_, (r.ann_masks[g] for g in gens), full))
+            npure = _one_in_sum(
+                r, i.mask, reduce(and_, (r.ann_stable[g][1] for g in gens), full)
+            )
+            assert pure == _purity_scan(r, i.mask, r.zero_set)[0], (r.name, i.elems)
+            assert npure == _purity_scan(r, i.mask, r.nil_set)[0], (r.name, i.elems)
+            counts[pure, npure] += 1
+    assert counts == {(True, True): 2900, (False, True): 503}
