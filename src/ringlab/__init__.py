@@ -14,6 +14,7 @@ from .classify import (
     PropertyReport,
     RingContext,
     Verdict,
+    classify_catalog,
     classify_ideal,
     classify_property,
     classify_ring,
@@ -72,6 +73,7 @@ __all__ = [
     "annihilator",
     "buchberger",
     "build",
+    "classify_catalog",
     "classify_ideal",
     "classify_property",
     "classify_ring",

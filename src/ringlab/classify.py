@@ -36,7 +36,7 @@ rings.  Witness tie-breaking always picks the lexicographically smallest
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import combinations
 from operator import and_, attrgetter
@@ -1147,3 +1147,23 @@ def classify_ring(
     ideal_results = [classify_ideal(ctx, i) for i in universe]
     checks = verify_theorems(ctx, computed) if with_theorems else []
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)
+
+
+def classify_catalog(rings: list[FiniteRing], bounds: Bounds | None = None) -> list[PropertyReport]:
+    """classify_ring for every ring, in order, run once per distinct key.
+
+    A ring whose key came earlier in ``rings`` gets the first report of that
+    key with only its ring replaced: every verdict, witness and theorem
+    detail is a function of the key and the bounds.  The shared results'
+    ideals belong to that first ring.
+    """
+    first: dict[tuple, PropertyReport] = {}
+    reports = []
+    for ring in rings:
+        report = first.get(ring.key)
+        if report is None:
+            report = first[ring.key] = classify_ring(ring, bounds=bounds)
+        else:
+            report = replace(report, ring=ring)
+        reports.append(report)
+    return reports

@@ -12,7 +12,7 @@ import sys
 
 from .bounds import Bounds
 from .catalog import default_catalog
-from .classify import RingContext, classify_ring, npure_primes
+from .classify import RingContext, classify_catalog, classify_ring, npure_primes
 from .errors import RingLabError
 from .groebner import (
     buchberger,
@@ -101,7 +101,7 @@ def cmd_check(args) -> int:
 def cmd_verify_catalog(args) -> int:
     bounds = _bounds_from_args(args)
     rings = default_catalog(args.max_order, bounds)
-    reports = [classify_ring(ring, bounds=bounds) for ring in rings]
+    reports = classify_catalog(rings, bounds)
     doc = build_document(reports, bounds)
     if args.json:
         write_json_atomic(args.json, doc)

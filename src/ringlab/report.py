@@ -123,11 +123,21 @@ def ring_report_dict(report: PropertyReport) -> tuple[dict, list[dict]]:
 
 
 def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
+    """The report document of ``reports``, in order.  Reports that share
+    their results (``classify_catalog`` gives each later ring of a key the
+    first one's) are serialized once, each under its own spec; their ring
+    dicts share every value but ``spec``."""
     rings = []
     totals = dict.fromkeys(COUNTS, 0)
     failures = []
+    serialized: dict[tuple[int, int, int], tuple[dict, list[dict]]] = {}
     for report in reports:
-        doc, ring_failures = ring_report_dict(report)
+        results = (id(report.properties), id(report.ideal_results), id(report.theorem_checks))
+        if results in serialized:
+            doc, ring_failures = serialized[results]
+            doc = {**doc, "spec": report.ring.name}
+        else:
+            doc, ring_failures = serialized[results] = ring_report_dict(report)
         rings.append(doc)
         for key in COUNTS:
             totals[key] += doc["counts"][key]

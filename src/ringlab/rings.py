@@ -56,18 +56,37 @@ def _row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality exactly below this
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises BadModulus at or above
+    PRIMALITY_LIMIT, where the fixed bases no longer decide."""
+    if n >= PRIMALITY_LIMIT:
+        raise BadModulus(
+            f"cannot decide whether {n} is prime: the test is exact only below {PRIMALITY_LIMIT}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -258,6 +277,19 @@ class FiniteRing:
             k >>= 1
         return result
 
+    @cached_property
+    def key(self) -> tuple:
+        """The tables, one and the factors' keys: everything a report reads
+        of the ring except its name.  Rings with equal keys get equal
+        reports; dict lookup compares the full bytes, so equal hashes alone
+        never make two keys equal."""
+        return (
+            self.add_table.tobytes(),
+            self.mul_table.tobytes(),
+            self.one,
+            tuple(f.key for f in self.factors),
+        )
+
     # -- derived element data: each list is computed once, for every element
 
     @cached_property
@@ -435,8 +467,8 @@ def _build_zmod(spec: specs.Zmod, max_order: int) -> FiniteRing:
 
 def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
     p = spec.p
-    # a p above the bound fails the order check below, before a trial
-    # division that would not end for a huge p
+    # a p above the bound fails the order check below with the bound's
+    # message, whether or not it is prime
     if p <= max_order and not is_prime(p):
         raise BadModulus(f"GF({p}) needs a prime characteristic")
     coeffs = tuple(c % p for c in spec.coeffs)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from ringlab.catalog import default_catalog
 from ringlab.cli import main
 from ringlab.errors import ParseError
 from ringlab.ideals import all_ideals
-from ringlab.rings import build, mask_of, quotient_projection, quotient_ring
+from ringlab.rings import (
+    PRIMALITY_LIMIT,
+    build,
+    mask_of,
+    quotient_projection,
+    quotient_ring,
+)
 from ringlab.specs import (
     LocalizeAt,
     PolyQuot,
@@ -86,6 +93,10 @@ def test_default_catalog_order_cap():
 def test_default_catalog_builds_and_dedups():
     cat = default_catalog(16)
     assert len(cat) == len({ring.spec for ring in cat})
+    # verify-catalog classifies one ring per key; the share of repeats is pinned
+    assert len(cat) == 868
+    assert len({ring.key for ring in cat}) == 124
+    assert len({ring.key[:3] for ring in cat}) == 83
     for ring in cat:
         spec = ring.spec
         # the catalog's ring is the one its spec denotes
@@ -236,6 +247,19 @@ def test_cli_groebner_rejects_non_prime(capsys, prime, ideal):
     assert f"{prime} is not prime" in captured.err
     assert "Traceback" not in captured.err
     assert "reduced basis" not in captured.out
+
+
+def test_cli_groebner_large_prime(capsys):
+    # primality of -p is decided by Miller-Rabin, not trial division
+    start = time.perf_counter()
+    assert main(["groebner", "-p", "99999999999999999989", "--ideal", "x"]) == 0
+    assert time.perf_counter() - start < 1
+    assert "reduced basis over GF(99999999999999999989)" in capsys.readouterr().out
+    assert main(["groebner", "-p", str(PRIMALITY_LIMIT), "--ideal", "x"]) == 2
+    captured = capsys.readouterr()
+    assert str(PRIMALITY_LIMIT) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_example1(capsys):

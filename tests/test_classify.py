@@ -10,8 +10,11 @@ from ringlab import ideals
 from ringlab.bounds import Bounds
 from ringlab.classify import (
     NPURE_METHODS,
+    PROPERTY_METHODS,
     PROPERTY_ORDER,
     RingContext,
+    Verdict,
+    classify_catalog,
     classify_ideal,
     classify_property,
     classify_ring,
@@ -23,8 +26,8 @@ from ringlab.classify import (
 )
 from ringlab.errors import OrderTooLarge
 from ringlab.ideals import all_ideals, ideal_from_generators, unit_ideal, zero_ideal
-from ringlab.report import ring_report_dict
-from ringlab.rings import build
+from ringlab.report import build_document, ring_report_dict
+from ringlab.rings import FiniteRing, build, find_isomorphism
 from ringlab.specs import PolyQuot, Product, Quotient, Zmod
 
 MINI_SPECS = [
@@ -392,3 +395,77 @@ def test_cli_check_serializes_ring_once(monkeypatch, tmp_path, capsys):
     assert main(["check", "Z/12", "--json", str(tmp_path / "report.json")]) == 0
     capsys.readouterr()
     assert [r.ring.name for r in calls] == ["Z/12"]
+
+
+def test_equal_tables_share_one_classification(monkeypatch):
+    z2, gf2 = build(Zmod(2)), build(PolyQuot(2, (1, 1)))
+    assert z2.key == gf2.key
+    calls = _count_calls(monkeypatch, classify_ring)
+    docs = build_document(classify_catalog([z2, gf2]), Bounds())["rings"]
+    assert calls == [z2]
+    assert [d["spec"] for d in docs] == ["Z/2", "GF(2)[x]/(x + 1)"]
+    # the shared dict is the one gf2's own classification gives
+    assert docs[1] == ring_report_dict(classify_ring(gf2))[0]
+    assert {**docs[0], "spec": None} == {**docs[1], "spec": None}
+
+
+def test_shared_failures_name_their_own_ring(monkeypatch):
+    broken = [("no_nilpotents", lambda ctx: Verdict("no_nilpotents", True)),
+              PROPERTY_METHODS["reduced"][1]]
+    monkeypatch.setitem(PROPERTY_METHODS, "reduced", broken)
+    z4, zero_quotient = build(Zmod(4)), build(Quotient(Zmod(4), ()))
+    assert z4.key == zero_quotient.key
+    doc = build_document(classify_catalog([z4, zero_quotient]), Bounds())
+    labels = [f["ring"] for f in doc["aggregate"]["failures"]]
+    n = len(labels) // 2
+    assert n > 0 and labels == [z4.name] * n + [zero_quotient.name] * n
+
+
+def test_relabelled_isomorphic_rings_are_classified_apart(monkeypatch):
+    z6, prod = build(Zmod(6)), build(Product((Zmod(3), Zmod(2))))
+    assert find_isomorphism(z6, prod) is not None
+    assert z6.key != prod.key
+    calls = _count_calls(monkeypatch, classify_ring)
+    classify_catalog([z6, prod])
+    assert calls == [z6, prod]
+
+
+def test_product_key_includes_its_factors(monkeypatch):
+    prod = build(Product((Zmod(2), Zmod(2))))
+    zero_quotient = build(Quotient(prod.spec, ()))
+    assert prod.key[:3] == zero_quotient.key[:3]
+    assert prod.key != zero_quotient.key
+    calls = _count_calls(monkeypatch, classify_ring)
+    reports = classify_catalog([prod, zero_quotient])
+    assert calls == [prod, zero_quotient]
+    has_product_check = [
+        any(c.check == "product_mid_iff_factors_mid" for c in r.theorem_checks) for r in reports
+    ]
+    assert has_product_check == [True, False]
+
+
+def test_check_and_spectrum_never_compute_the_key(monkeypatch, tmp_path, capsys):
+    from ringlab.cli import main
+
+    def computed(ring):
+        raise AssertionError(f"key of {ring.name} computed")
+
+    monkeypatch.setattr(FiniteRing, "key", property(computed))
+    assert main(["check", "product(Z/4, Z/3)", "--json", str(tmp_path / "r.json")]) == 0
+    assert main(["spectrum", "Z/12"]) == 0
+    capsys.readouterr()
+
+
+def test_verify_catalog_classifies_each_key_once(monkeypatch, capsys):
+    from ringlab.cli import main
+
+    classified = _count_calls(monkeypatch, classify_ring)
+    serialized = _count_calls(monkeypatch, ring_report_dict)
+    # a second run classifies every key again: no state outlives a run
+    for _ in range(2):
+        assert main(["verify-catalog", "--max-order", "16"]) == 0
+        assert capsys.readouterr().out.startswith("catalog: 868 rings")
+        assert len(classified) == len(serialized) == 124
+        assert len({ring.key for ring in classified}) == 124
+        classified.clear()
+        serialized.clear()

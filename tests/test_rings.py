@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -18,9 +19,11 @@ from ringlab.errors import (
 )
 from ringlab.groebner import LEX, PolyFp, normal_form
 from ringlab.rings import (
+    PRIMALITY_LIMIT,
     FiniteRing,
     build,
     find_isomorphism,
+    is_prime,
     mask_of,
     special_elements,
 )
@@ -356,3 +359,39 @@ def test_polyquot_products_match_groebner_normal_form():
                 ]
                 r = build(PolyQuot(p, low + (1,)))
                 assert r.mul_table.ravel().tolist() == expected, (p, low)
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n: int) -> bool:
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(20_000) if is_prime(n)] == [
+        n for n in range(20_000) if trial_division(n)
+    ]
+
+
+# Carmichael numbers with 3 to 9 prime factors: Fermat liars to every coprime base
+CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 232250619601,
+              9746347772161)
+
+
+@pytest.mark.parametrize("n", [
+    99999999999999999989,
+    3825123056546413051,  # strong pseudoprime to the bases 2..23
+    318665857834031151167461,  # strong pseudoprime to the bases 2..37
+    3317044064679887385961813,  # the largest prime below the limit
+    PRIMALITY_LIMIT - 2,
+    *CARMICHAEL,
+])
+def test_is_prime_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_refuses_at_the_limit():
+    # the limit itself is a strong pseudoprime to all thirteen bases
+    assert is_prime(PRIMALITY_LIMIT - 1) is False  # even
+    with pytest.raises(BadModulus, match=str(PRIMALITY_LIMIT)):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(BadModulus, match=str(PRIMALITY_LIMIT)):
+        is_prime(10**40 + 1)
