@@ -1149,7 +1149,9 @@ def classify_ring(
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)
 
 
-def classify_catalog(rings: list[FiniteRing], bounds: Bounds | None = None) -> list[PropertyReport]:
+def classify_catalog(
+    rings: list[FiniteRing], bounds: Bounds | None = None
+) -> list[PropertyReport]:
     """classify_ring for every ring, in order, run once per distinct key.
 
     A ring whose key came earlier in ``rings`` gets the first report of that
