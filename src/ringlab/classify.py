@@ -210,14 +210,19 @@ class RingContext:
         return got
 
     def reduction(self) -> tuple[FiniteRing, list[int]]:
-        """The quotient by the nilradical and the projection index map."""
+        """The quotient by the nilradical and the projection index map; the
+        ring itself and the identity map when the nilradical is zero."""
         if self._reduction is None:
             nil = nilradical(self.ring)
-            spec = specs.Quotient(self.ring.spec, nil.generators())
-            self._reduction = (
-                quotient_ring(self.ring, nil.mask, spec),
-                quotient_projection(self.ring, nil.mask),
-            )
+            if nil.is_zero:
+                # the quotient by zero has the same tables: keep the ring
+                self._reduction = (self.ring, list(range(self.ring.order)))
+            else:
+                spec = specs.Quotient(self.ring.spec, nil.generators())
+                self._reduction = (
+                    quotient_ring(self.ring, nil.mask, spec),
+                    quotient_projection(self.ring, nil.mask),
+                )
         return self._reduction
 
     def jacobson(self) -> Ideal:
@@ -257,21 +262,21 @@ class RingContext:
 
 
 def _is_pure(ring: FiniteRing, mask: int) -> bool:
-    return _purity_scan(ring, mask, ring.zero_set)[0]
+    return _purity_scan(ring, mask, nil=False)[0]
 
 
 def _is_npure(ring: FiniteRing, mask: int) -> bool:
-    return _purity_scan(ring, mask, ring.nil_set)[0]
+    return _purity_scan(ring, mask, nil=True)[0]
 
 
 def _mask_sum_has_one(ring: FiniteRing, m1: int, m2: int) -> tuple[bool, tuple[int, int] | None]:
-    """1 in I+J iff some u in I has 1-u in J (the sum set is the sum ideal)."""
-    one_minus = ring.one_minus
-    for u in bits(m1):
-        v = one_minus[u]
-        if (m2 >> v) & 1:
-            return True, (u, v)
-    return False, None
+    """1 in I+J iff some u in I has 1-u in J (the sum set is the sum ideal);
+    the pair names the smallest such u."""
+    hits = m1 & ring.one_minus_image(m2)
+    if not hits:
+        return False, None
+    u = (hits & -hits).bit_length() - 1
+    return True, (u, ring.one_minus[u])
 
 
 def _min_power_killing(ring: FiniteRing, a: int, c: int) -> int:
@@ -289,19 +294,19 @@ def _min_power_killing(ring: FiniteRing, a: int, c: int) -> int:
 # -- purity deciders -----------------------------------------------------
 
 
-def _scan_verdict(method: str, ring: FiniteRing, mask: int, accepted, **named) -> Verdict:
+def _scan_verdict(method: str, ring: FiniteRing, mask: int, nil: bool, **named) -> Verdict:
     """A purity scan as a verdict: the choices on a pass, the failing element
     otherwise, next to the named sets."""
-    ok, data = _purity_scan(ring, mask, accepted)
+    ok, data = _purity_scan(ring, mask, nil)
     return Verdict(method, ok, {**named, "choices" if ok else "element": data})
 
 
 def is_pure(ideal: Ideal) -> Verdict:
-    return _scan_verdict("element_witness", ideal.ring, ideal.mask, ideal.ring.zero_set)
+    return _scan_verdict("element_witness", ideal.ring, ideal.mask, nil=False)
 
 
 def _npure_def(ctx: RingContext, ideal: Ideal) -> Verdict:
-    return _scan_verdict("def", ctx.ring, ideal.mask, ctx.ring.nil_set)
+    return _scan_verdict("def", ctx.ring, ideal.mask, nil=True)
 
 
 def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
@@ -360,7 +365,7 @@ def _npure_radical_formula(ctx: RingContext, ideal: Ideal) -> Verdict:
 def _npure_radical_npure(ctx: RingContext, ideal: Ideal) -> Verdict:
     rad = radical(ideal)
     return _scan_verdict(
-        "radical_npure", ctx.ring, rad.mask, ctx.ring.nil_set, radical=list(rad.elems)
+        "radical_npure", ctx.ring, rad.mask, nil=True, radical=list(rad.elems)
     )
 
 
@@ -384,27 +389,27 @@ def _npure_pure_core(ctx: RingContext, ideal: Ideal) -> Verdict:
 def _npure_mod_nil(ctx: RingContext, ideal: Ideal) -> Verdict:
     reduced, proj = ctx.reduction()
     image = mask_of(proj[a] for a in ideal.elems)
-    return _scan_verdict("mod_nil", reduced, image, reduced.zero_set, image=list(bits(image)))
+    return _scan_verdict("mod_nil", reduced, image, nil=False, image=list(bits(image)))
 
 
 def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
-    elems = list(ideal.elems)
+    elems = ideal.elems
+    # the b whose 1 - b lies in every Ann(a^oo): each kills every a of the set
+    killed_by_all = reduce(and_, (ring.ann_stable[a][1] for a in elems), (1 << ring.order) - 1)
+    common = ideal.mask & ring.one_minus_image(killed_by_all)
+    if common:
+        b = (common & -common).bit_length() - 1
+        c = ring.one_minus[b]
+        t = max(_min_power_killing(ring, a, c) for a in elems)
+        return Verdict("finite_subset", True, {"uniform": [b, t]})
+    # no single witness covers the whole ideal: check all subsets of size <= 3
     k = len(elems)
     complements = [ring.one_minus[b] for b in elems]
-    # ok_mask[ai] has bit bi set when elems[bi] eventually kills elems[ai]
     ok_masks = [
         mask_of(bi for bi, c in enumerate(complements) if (ring.ann_stable[a][1] >> c) & 1)
         for a in elems
     ]
-    common = reduce(and_, ok_masks, (1 << k) - 1)
-    if common:
-        bi = (common & -common).bit_length() - 1
-        b = elems[bi]
-        c = complements[bi]
-        t = max((_min_power_killing(ring, a, c) for a in elems), default=1)
-        return Verdict("finite_subset", True, {"uniform": [b, t]})
-    # no single witness covers the whole ideal: check all subsets of size <= 3
     for size in (1, 2, 3):
         for combo in combinations(range(k), size):
             if not reduce(and_, (ok_masks[ai] for ai in combo)):
@@ -539,12 +544,12 @@ def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext]
 
 
 def _pure(ctx: RingContext, member, mask: int) -> dict | None:
-    ok, data = _purity_scan(ctx.ring, mask, ctx.ring.zero_set)
+    ok, data = _purity_scan(ctx.ring, mask, nil=False)
     return None if ok else {"element": data}
 
 
 def _npure(ctx: RingContext, member, mask: int) -> dict | None:
-    ok, data = _purity_scan(ctx.ring, mask, ctx.ring.nil_set)
+    ok, data = _purity_scan(ctx.ring, mask, nil=True)
     return None if ok else {"element": data}
 
 

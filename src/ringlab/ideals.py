@@ -130,28 +130,31 @@ def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(i.ring, i.mask & j.mask)
 
 
-def _purity_scan(
-    ring: FiniteRing, mask: int, accepted: frozenset[int]
-) -> tuple[bool, list[list[int]] | int]:
-    """Whether every a in the set has b there with a(1-b) in `accepted`.
+def _purity_scan(ring: FiniteRing, mask: int, nil: bool) -> tuple[bool, list[list[int]] | int]:
+    """Whether every a in the set has b there with a(1-b) zero (purity) or,
+    with nil, nilpotent (N-purity).
 
-    `accepted` is ring.zero_set for purity and ring.nil_set for N-purity.
-    Returns (True, [[a, b], ...]) with the smallest b for each a, or
-    (False, the first a without one)."""
-    mul = ring.mul_rows
-    one_minus = ring.one_minus
-    elems = list(bits(mask))
-    complements = [(b, one_minus[b]) for b in elems]
+    The set may be any element set, not only an ideal.  Returns (True,
+    [[a, b], ...]) with the smallest b for each a, or (False, the first a
+    without one): the lowest bit of a's witness mask within the set.  The
+    result is memoized on the ring by (mask, nil) and shared by every
+    caller, so callers must not mutate it."""
+    key = (mask, nil)
+    got = ring.scan_memo.get(key)
+    if got is not None:
+        return got
+    witnesses = ring.npure_witnesses if nil else ring.pure_witnesses
     choices = []
-    for a in elems:
-        row = mul[a]
-        for b, c in complements:
-            if row[c] in accepted:
-                choices.append([a, b])
-                break
-        else:
-            return False, a
-    return True, choices
+    for a in bits(mask):
+        w = witnesses[a] & mask
+        if not w:
+            got = (False, a)
+            break
+        choices.append([a, (w & -w).bit_length() - 1])
+    else:
+        got = (True, choices)
+    ring.scan_memo[key] = got
+    return got
 
 
 def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:

@@ -6,8 +6,8 @@ identity is recorded explicitly.  Every constructor validates the full
 axiom set (commutativity, associativity, identities, inverses,
 distributivity) before returning, so downstream code never re-checks.
 The element data the deciders read (power reach, Ann(a), Ra, the stable
-Ann(a^oo), 1 - b) is derived from the tables on first use, once for all
-elements.
+Ann(a^oo), 1 - b and the purity witness sets) is derived from the tables on
+first use, once for all elements.
 """
 
 from __future__ import annotations
@@ -192,8 +192,11 @@ class FiniteRing:
     """Carrier 0..N-1 with full addition/multiplication tables.
 
     Immutable after construction; derived data (power reach, annihilator,
-    principal-ideal and special-element masks, 1 - b) is computed on first
+    principal-ideal and special-element masks, 1 - b, and for each a the
+    bitmasks of the b with a(1-b) zero or nilpotent) is computed on first
     use, once for all elements, with whole-array operations on the tables.
+    Purity scan results and the images {1 - v : v in J} are memoized on the
+    ring as the deciders ask for them.
     """
 
     def __init__(
@@ -220,8 +223,9 @@ class FiniteRing:
         self.add_rows: list[list[int]] = add.tolist()
         self.mul_rows: list[list[int]] = mul.tolist()
         self.neg_of: list[int] = np.argmax(add == 0, axis=1).tolist()
-        # {0} as a set: the accepted values of a(1-b) in a purity scan
-        self.zero_set = frozenset((0,))
+        # ideals._purity_scan results by (mask, nil), and one_minus_image by mask
+        self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
+        self._one_minus_images: dict[int, int] = {}
 
     # -- presentation -------------------------------------------------
 
@@ -354,9 +358,23 @@ class FiniteRing:
         return mask_of(a for a, m in enumerate(self.power_masks) if m & 1)
 
     @cached_property
-    def nil_set(self) -> frozenset[int]:
-        """The nilradical as a set: the accepted values of an N-purity scan."""
-        return frozenset(bits(self.nil_mask))
+    def pure_witnesses(self) -> list[int]:
+        """pure_witnesses[a] is the bitmask of {b : a(1-b) = 0}."""
+        return _row_masks(self.mul_table[:, self.one_minus] == self.zero)
+
+    @cached_property
+    def npure_witnesses(self) -> list[int]:
+        """npure_witnesses[a] is the bitmask of {b : a(1-b) is nilpotent}."""
+        nil = np.fromiter((m & 1 for m in self.power_masks), dtype=bool, count=self.order)
+        return _row_masks(nil[self.mul_table[:, self.one_minus]])
+
+    def one_minus_image(self, mask: int) -> int:
+        """The bitmask of {1 - v : v in the set}, memoized by mask."""
+        got = self._one_minus_images.get(mask)
+        if got is None:
+            one_minus = self.one_minus
+            got = self._one_minus_images[mask] = mask_of(one_minus[v] for v in bits(mask))
+        return got
 
     @cached_property
     def unit_mask(self) -> int:

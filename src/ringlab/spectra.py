@@ -54,7 +54,7 @@ def vanishing_set(i: Ideal, spec: Spectrum) -> list[Ideal]:
 def pure_ideals(lattice: list[Ideal]) -> list[Ideal]:
     """The ideals of the lattice passing the element-wise purity test."""
     ring = lattice[0].ring
-    return [i for i in lattice if _purity_scan(ring, i.mask, ring.zero_set)[0]]
+    return [i for i in lattice if _purity_scan(ring, i.mask, nil=False)[0]]
 
 
 @dataclass

@@ -44,11 +44,11 @@ EXPECTED_METHOD_COUNTS = {
 
 
 def _pure_ok(ring, mask) -> bool:
-    return _purity_scan(ring, mask, ring.zero_set)[0]
+    return _purity_scan(ring, mask, nil=False)[0]
 
 
 def _npure_ok(ring, mask) -> bool:
-    return _purity_scan(ring, mask, ring.nil_set)[0]
+    return _purity_scan(ring, mask, nil=True)[0]
 
 
 def _report(line: str) -> None:

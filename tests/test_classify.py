@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ringlab import ideals
+from ringlab import ideals, rings
 from ringlab.bounds import Bounds
 from ringlab.classify import (
     NPURE_METHODS,
@@ -249,7 +249,7 @@ def test_gpf_witnesses_recheck():
     v = ring_class(r, "gpf", "annihilator_power_pure")
     assert v.value
     for a, n in v.witness["choices"]:
-        ok, _ = _purity_scan(r, r.ann_masks[r.pow_index(a, n)], r.zero_set)
+        ok, _ = _purity_scan(r, r.ann_masks[r.pow_index(a, n)], nil=False)
         assert ok
         # a = 2 needs n = 2: Ann(2) = (6) is not pure but Ann(4) = (3) is
         if a == 2:
@@ -368,6 +368,27 @@ def test_classify_ring_enumerates_one_lattice(monkeypatch, spec):
     calls = _count_calls(monkeypatch, ideals.all_ideals)
     classify_ring(ring)
     assert calls == [ring]
+
+
+@pytest.mark.parametrize(
+    "spec, quotients",
+    [(Zmod(30), 0), (Product((Zmod(5), Zmod(7))), 0), (Zmod(12), 1)],
+)
+def test_ideal_battery_reduces_only_a_nonreduced_ring(monkeypatch, spec, quotients):
+    # the mod_nil route reads R/nilradical; a reduced ring is its own
+    # reduction, with the identity as projection, and is not copied
+    ring = build(spec)
+    ctx = RingContext(ring)
+    calls = _count_calls(monkeypatch, rings.quotient_ring)
+    results = [classify_ideal(ctx, i) for i in ctx.lattice()]
+    assert calls == [ring] * quotients
+    reduced, proj = ctx.reduction()
+    assert (reduced is ring) == (quotients == 0)
+    if reduced is ring:
+        assert proj == list(range(ring.order))
+        for ic in results:
+            (mod_nil,) = (v for v in ic.npure.verdicts if v.method == "mod_nil")
+            assert mod_nil.witness["image"] == list(ic.ideal.elems)
 
 
 def test_classify_product_builds_no_ring(monkeypatch):

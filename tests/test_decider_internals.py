@@ -24,14 +24,14 @@ def _subset_ideal(ring, elems):
 
 def test_pure_scan_failure_witness():
     r = build(Zmod(6))
-    ok, witness = _purity_scan(r, 0b000100, r.zero_set)  # the set {2}, not an ideal
+    ok, witness = _purity_scan(r, 0b000100, nil=False)  # the set {2}, not an ideal
     assert not ok and witness == 2
 
 
 def test_npure_scan_failure_witness():
     # Z/6 is reduced, so a(1-b) nilpotent means a(1-b) = 0
     r = build(Zmod(6))
-    ok, witness = _purity_scan(r, 0b000100, r.nil_set)
+    ok, witness = _purity_scan(r, 0b000100, nil=True)
     assert not ok and witness == 2
 
 

@@ -167,6 +167,19 @@ def _jacobson(ring):
     )
 
 
+def _witnesses(ring, accepted):
+    """For each a, the b with a(1-b) in the accepted set."""
+    one_minus = [_one_minus(ring, b) for b in range(ring.order)]
+    return [
+        mask_of(b for b in range(ring.order) if ring.mul_rows[a][one_minus[b]] in accepted)
+        for a in range(ring.order)
+    ]
+
+
+def _nilpotents(ring):
+    return {a for a in range(ring.order) if ring.zero in power_sequence(ring, a)}
+
+
 REFERENCE = {
     "power_masks": lambda r: [mask_of(power_sequence(r, a)) for a in range(r.order)],
     "ann_masks": lambda r: [_ann(r, a) for a in range(r.order)],
@@ -179,6 +192,8 @@ REFERENCE = {
     "unit_mask": lambda r: mask_of(a for a in range(r.order) if _is_unit(r, a)),
     "jacobson_mask": _jacobson,
     "idempotents": lambda r: [a for a in range(r.order) if r.mul_rows[a][a] == a],
+    "pure_witnesses": lambda r: _witnesses(r, {r.zero}),
+    "npure_witnesses": lambda r: _witnesses(r, _nilpotents(r)),
 }
 
 

@@ -204,7 +204,7 @@ def test_pure_mask_scan_matches_bruteforce():
                 )
                 for a in i.elems
             )
-            assert _purity_scan(r, i.mask, r.zero_set)[0] == expected
+            assert _purity_scan(r, i.mask, nil=False)[0] == expected
 
 
 def _one_in_sum(ring, i_mask, k_mask):
@@ -225,7 +225,7 @@ def test_purity_oracle_from_generator_annihilators():
             npure = _one_in_sum(
                 r, i.mask, reduce(and_, (r.ann_stable[g][1] for g in gens), full)
             )
-            assert pure == _purity_scan(r, i.mask, r.zero_set)[0], (r.name, i.elems)
-            assert npure == _purity_scan(r, i.mask, r.nil_set)[0], (r.name, i.elems)
+            assert pure == _purity_scan(r, i.mask, nil=False)[0], (r.name, i.elems)
+            assert npure == _purity_scan(r, i.mask, nil=True)[0], (r.name, i.elems)
             counts[pure, npure] += 1
     assert counts == {(True, True): 2900, (False, True): 503}
