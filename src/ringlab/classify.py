@@ -1033,7 +1033,10 @@ def _mid_quotients(ctx: RingContext, props) -> dict | None:
     for i in ctx.pure_list():
         if not i.is_proper:
             continue
-        q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
+        if i.is_zero:
+            q = ring  # R/(0) has the same tables
+        else:
+            q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
         failure = _mid_failure(q, ctx.bounds)
         if failure is not None:
             return {"pure_ideal": list(i.elems), "element": failure["element"]}

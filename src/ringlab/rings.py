@@ -5,6 +5,12 @@ A ring of order N is a pair of N x N Cayley tables over element indices
 identity is recorded explicitly.  Every constructor validates the full
 axiom set (commutativity, associativity, identities, inverses,
 distributivity) before returning, so downstream code never re-checks.
+Commutativity, identities and inverses are checked on the whole tables;
+associativity and distributivity are decided exactly on additive
+generators (at most log2(N) when + is a group) by Light's associativity
+test (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2) and
+the additivity of the associator.  Only a table that fails is scanned on
+all N^3 triples.
 The element data the deciders read (power reach, Ann(a), Ra, the stable
 Ann(a^oo), 1 - b and the purity witness sets) is derived from the tables on
 first use, once for all elements.
@@ -90,8 +96,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Row-axiom temporaries hold at most this many entries: one block of rows
-# for N <= 16, single rows from N = 128 up.
+# The row scan's temporaries hold at most this many entries: one block of
+# rows for N <= 16, single rows from N = 128 up.
 _BLOCK_ENTRIES = 2**14
 
 _ROW_AXIOMS = (
@@ -101,14 +107,37 @@ _ROW_AXIOMS = (
 )
 
 
-def validate_ring_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
+def validate_ring_tables(
+    add: np.ndarray, mul: np.ndarray, one: int, add_rows: list[list[int]]
+) -> None:
     """Check every commutative-unital-ring axiom on the full tables.
 
-    Index 0 is the additive identity.  Raises NotARing naming the first
-    failed axiom; the three row axioms (associativity of + and *,
-    distributivity) are ordered by row, then axiom.  Rows are checked in
-    blocks of max(1, 2**14 // N**2), so each temporary holds at most 2**14
-    entries, or the N^2 of one row above N = 128.
+    Index 0 is the additive identity and add_rows is the addition table as
+    nested lists.  Raises NotARing naming the first failed axiom.  The
+    O(N^2) axioms (shape, range, commutativity, identities, inverses) are
+    checked first.  The three row axioms are then decided exactly on the
+    additive generators g of _additive_generators, from which every element
+    is reached by adding generators to 0.  Each check is one N^2 gather per
+    generator, run in this order, each assuming the ones before it:
+
+    1. (x + g) + y = x + (g + y) for all x, y: Light's associativity test
+       (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2).
+       The a with (x + a) + y = x + (a + y) for all x, y include 0 and are
+       closed under +, since (x + (a + b)) + y = ((x + a) + b) + y
+       = (x + a) + (b + y) = x + (a + (b + y)) = x + ((a + b) + y); so they
+       are all of R.  With the identity and inverses, (R, +) is a finite
+       group, and every element, 0 included, is a sum of generators.
+    2. x(y + g) = xy + xg for all x, y.  Now that + is associative, the a
+       with x(y + a) = xy + xa for all x, y are closed under +:
+       x(y + a + b) = x(y + a) + xb = xy + xa + xb = xy + x(a + b).
+    3. (xg)y = x(gy) for all x, y.  With distributivity and commutativity
+       the associator (xa)y - x(ay) is additive in a, so the a where it
+       vanishes are closed under +.
+
+    Each check is an instance of its axiom, so a check fails only on
+    tables that break the axiom; then the exhaustive scan of
+    _first_row_failure names the first failing row, then axiom, as a scan
+    of all N^3 triples would.
     """
     n = add.shape[0]
     if add.shape != (n, n) or mul.shape != (n, n):
@@ -131,6 +160,50 @@ def validate_ring_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
         raise NotARing("one is not a multiplicative identity")
     if not np.all((add == 0).any(axis=1)):
         raise NotARing("some element has no additive inverse")
+    gens = _additive_generators(add_rows)
+    # both sides of each row axiom with a generator g in the middle, as
+    # (x, y) tables
+    for sides in (
+        lambda g: (add[add[:, g]], add[:, add[g]]),  # (x + g) + y = x + (g + y)
+        lambda g: (mul[:, add[g]], add[mul, mul[:, g, None]]),  # x(y + g) = xy + xg
+        lambda g: (mul[mul[:, g]], mul[:, mul[g]]),  # (xg)y = x(gy)
+    ):
+        if not all(np.array_equal(*sides(g)) for g in gens):
+            raise NotARing(_first_row_failure(add, mul))
+
+
+def _additive_generators(add_rows: list[list[int]]) -> list[int]:
+    """Generators of (R, +), chosen greedily: each is the smallest element
+    not yet reached from 0 by adding earlier generators, and is then added
+    to every reached element, including the ones it reaches.
+
+    When + makes a group, the reached set is then the subgroup the
+    generators span, and each new generator at least doubles it, so there
+    are at most log2(N) of them.
+    """
+    reached = [True] + [False] * (len(add_rows) - 1)
+    members = [0]
+    gens: list[int] = []
+    for g in range(1, len(add_rows)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        for x in members:  # members grows as the loop runs
+            s = add_rows[x][g]
+            if not reached[s]:
+                reached[s] = True
+                members.append(s)
+    return gens
+
+
+def _first_row_failure(add: np.ndarray, mul: np.ndarray) -> str | None:
+    """The message of the first failing row, then axiom, of the three row
+    axioms checked on all N^3 triples, or None when they all hold.
+
+    Rows are checked in blocks of max(1, 2**14 // N**2), so each temporary
+    holds at most 2**14 entries, or the N^2 of one row above N = 128.
+    """
+    n = add.shape[0]
     step = max(1, _BLOCK_ENTRIES // n**2)
     for start in range(0, n, step):
         # flat indices: rows + t[j, k] is the entry (i, t[j, k]) for each row i
@@ -145,7 +218,8 @@ def validate_ring_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
         )
         bad = np.stack([(lhs != rhs).any(axis=(1, 2)) for lhs, rhs in sides], axis=1)
         if bad.any():
-            raise NotARing(_ROW_AXIOMS[int(bad.argmax()) % 3])
+            return _ROW_AXIOMS[int(bad.argmax()) % 3]
+    return None
 
 
 class Element:
@@ -209,7 +283,10 @@ class FiniteRing:
     ):
         add = np.asarray(add, dtype=np.int32)
         mul = np.asarray(mul, dtype=np.int32)
-        validate_ring_tables(add, mul, one)
+        # plain nested lists are noticeably faster than ndarray scalar access
+        # in the exhaustive scans that dominate this package
+        self.add_rows: list[list[int]] = add.tolist()
+        validate_ring_tables(add, mul, one, self.add_rows)
         self.order = int(add.shape[0])
         self.add_table = add
         self.mul_table = mul
@@ -218,9 +295,6 @@ class FiniteRing:
         self.spec = spec
         # the rings a product was built from; () for any other ring
         self.factors = factors
-        # plain nested lists are noticeably faster than ndarray scalar access
-        # in the exhaustive scans that dominate this package
-        self.add_rows: list[list[int]] = add.tolist()
         self.mul_rows: list[list[int]] = mul.tolist()
         self.neg_of: list[int] = np.argmax(add == 0, axis=1).tolist()
         # ideals._purity_scan results by (mask, nil), and one_minus_image by mask

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
+from ringlab import rings
 from ringlab.catalog import default_catalog
 from ringlab.errors import (
     BadModulus,
@@ -27,7 +33,15 @@ from ringlab.rings import (
     mask_of,
     special_elements,
 )
-from ringlab.specs import LocalizeAt, PolyQuot, Product, Quotient, TableSpec, Zmod
+from ringlab.specs import (
+    LocalizeAt,
+    PolyQuot,
+    Product,
+    Quotient,
+    TableSpec,
+    Zmod,
+    parse_ring_spec,
+)
 
 
 def test_zmod_basics():
@@ -354,6 +368,108 @@ def test_ring_axiom_validation_catches_bad_mul():
             tables[name][i, j] = tables[name][j, i] = value
         with pytest.raises(NotARing, match=message):
             FiniteRing(tables["add"], tables["mul"], one=1, spec=Zmod(4))
+
+
+# the row scan takes one block up to N = 16 (Z/4, Z/12) and 2, 16 and 130
+# blocks for Z/32, product(Z/8, Z/8) and Z/130
+SCANNED = ("Z/4", "Z/12", "Z/32", "Z/130", "product(Z/8, Z/8)")
+
+
+@functools.cache
+def _scanned_ring(text: str) -> FiniteRing:
+    return build(parse_ring_spec(text))
+
+
+@st.composite
+def _corrupted_tables(draw):
+    """A ring of SCANNED with one to three symmetric edits (a no-op edit
+    included) outside the identity rows, so commutativity and both
+    identities still hold."""
+    ring = _scanned_ring(draw(st.sampled_from(SCANNED)))
+    tables = {"add": ring.add_table.copy(), "mul": ring.mul_table.copy()}
+    keep = {"add": ring.zero, "mul": ring.one}
+    n = ring.order
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(("add", "mul")))
+        # any index but the identity's
+        cells = st.integers(0, n - 2).map(lambda k, skip=keep[name]: k + (k >= skip))
+        i, j = draw(cells), draw(cells)
+        tables[name][i, j] = tables[name][j, i] = draw(st.integers(0, n - 1))
+    return tables["add"], tables["mul"], ring.one
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_corrupted_tables())
+def test_generator_decision_matches_the_row_scan(tables):
+    add, mul, one = tables
+    assume(np.all((add == 0).any(axis=1)))  # an edit may take a row's only zero
+    expected = rings._first_row_failure(add, mul)
+    with mock.patch.object(
+        rings, "_first_row_failure", wraps=rings._first_row_failure
+    ) as scan:
+        try:
+            rings.validate_ring_tables(add, mul, one, add.tolist())
+            got = None
+        except NotARing as exc:
+            got = str(exc)
+    # the scan runs exactly when the generator checks reject, and names the
+    # first failing row, then axiom
+    assert scan.call_count == (expected is not None)
+    assert got == expected
+    event(f"verdict: {expected}")
+
+
+def test_light_test_rejects_a_commutative_loop():
+    # a commutative loop (each row a permutation, 0 the identity) that is not
+    # associative: (2 + 2) + 4 = 4 + 4 = 3 but 2 + (2 + 4) = 2 + 0 = 2
+    loop = np.array([
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ])
+    assert loop[loop[2, 2], 4] == 3 and loop[2, loop[2, 4]] == 2
+    idx = np.arange(6)
+    with pytest.raises(NotARing, match="^addition is not associative$"):
+        FiniteRing(loop, idx[:, None] * idx[None, :] % 6, one=1, spec=Zmod(6))
+
+
+def test_associator_check_rejects_a_nonassociative_algebra():
+    # GF(2)^3 with basis 1, a, b (index c0 + 2*c1 + 4*c2), a^2 = b^2 = 0 and
+    # ab = 1: commutative, unital and bilinear, hence distributive, but
+    # (aa)b = 0 while a(ab) = a
+    basis = [[1, 2, 4], [2, 0, 1], [4, 1, 0]]
+    idx = np.arange(8)
+    add = idx[:, None] ^ idx[None, :]
+    mul = np.zeros((8, 8), dtype=np.int64)
+    for u, v in itertools.product(range(3), repeat=2):
+        both = (idx[:, None] >> u & 1) & (idx[None, :] >> v & 1)
+        mul ^= both * basis[u][v]
+    assert mul[mul[2, 2], 4] == 0 and mul[2, mul[2, 4]] == 2
+    with pytest.raises(NotARing, match="^multiplication is not associative$"):
+        FiniteRing(add, mul, one=1, spec=TableSpec("algebra.tbl"))
+
+
+def test_valid_tables_never_reach_the_row_scan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rings, "_first_row_failure", lambda *args: calls.append(args))
+    named = [build(parse_ring_spec(text)) for text in (
+        "Z/200", "product(Z/8, Z/8)", "GF(2)[x]/(x^7 + x + 1)",
+    )]
+    catalog = default_catalog(16)
+    assert calls == []
+    for ring in named + catalog:
+        gens = rings._additive_generators(ring.add_rows)
+        assert len(gens) <= ring.order.bit_length() - 1, ring.name
+        if isinstance(ring.spec, Zmod):
+            assert gens == [1], ring.name
+    assert len(rings._additive_generators(named[2].add_rows)) == 7  # (GF(2^7), +) = (Z/2)^7
+    for k in range(2, 8):
+        cube = build(Product((Zmod(2),) * k))
+        assert len(rings._additive_generators(cube.add_rows)) == k
+    assert calls == []
 
 
 def test_polyquot_products_match_groebner_normal_form():
