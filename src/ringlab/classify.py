@@ -61,6 +61,7 @@ from .ideals import (
 )
 from .rings import (
     FiniteRing,
+    _mask_sum,
     bits,
     localize_at_mask,
     mask_of,
@@ -202,10 +203,16 @@ class RingContext:
         return got
 
     def localization(self, p: Ideal) -> FiniteRing:
+        """R_p, the quotient by the kernel at p; the ring itself when that
+        kernel is zero (R is then local, with maximal ideal p)."""
         got = self._localizations.get(p.mask)
         if got is None:
-            spec = specs.LocalizeAt(self.ring.spec, p.generators())
-            got = localize_at_mask(self.ring, p.mask, spec)
+            ring = self.ring
+            if ring.localization_kernel_mask(p.mask) == 1 << ring.zero:
+                got = ring
+            else:
+                spec = specs.LocalizeAt(ring.spec, p.generators())
+                got = localize_at_mask(ring, p.mask, spec)
             self._localizations[p.mask] = got
         return got
 
@@ -245,11 +252,9 @@ class RingContext:
                 masks = {1 << ring.zero, ring.nil_mask, self.jacobson().mask}
                 principals = sorted(set(ring.principal_masks))
                 masks.update(principals)
-                generated = [Ideal(ring, m) for m in principals]
-                for x, i in enumerate(generated):
-                    for j in generated[x + 1 :]:
-                        if not (i.contains_ideal(j) or j.contains_ideal(i)):
-                            masks.add(ideal_sum(i, j).mask)
+                for x, i in enumerate(principals):
+                    for j in principals[x + 1 :]:
+                        masks.add(_mask_sum(ring, i, j))
                 ideals = [
                     Ideal(ring, m)
                     for m in sorted(masks, key=lambda m: (m.bit_count(), m))

@@ -8,6 +8,7 @@ check failed, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bounds import Bounds
@@ -167,7 +168,9 @@ def cmd_groebner(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="Exact verification laboratory for finite commutative rings.",

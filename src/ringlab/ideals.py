@@ -2,7 +2,9 @@
 
 Storing ideals as masks over the carrier turns every quantified condition
 ("for each a in I ...") into a finite scan, and makes sum, product,
-intersection, radical and annihilator cheap exact set computations.
+intersection, radical and annihilator cheap exact set computations.  An
+ideal is its mask (its element tuple is built on first read), and every
+sum of ideals goes through one coset kernel, rings._mask_sum.
 """
 
 from __future__ import annotations
@@ -10,19 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import DEFAULT_LATTICE_BOUND
-from .errors import ForeignElement, NotAnIdeal, OrderTooLarge, RingMismatch
-from .rings import Element, FiniteRing, bits, mask_of
+from .errors import ForeignElement, OrderTooLarge, RingMismatch
+from .rings import Element, FiniteRing, _mask_sum, bits, mask_of
 
 
 class Ideal:
     """An ideal, held as (ring, membership bitmask)."""
 
-    __slots__ = ("ring", "mask", "elems")
+    __slots__ = ("ring", "mask", "_elems")
 
     def __init__(self, ring: FiniteRing, mask: int):
         self.ring = ring
         self.mask = mask
-        self.elems: tuple[int, ...] = tuple(bits(mask))
+        self._elems: tuple[int, ...] | None = None
+
+    @property
+    def elems(self) -> tuple[int, ...]:
+        if self._elems is None:
+            self._elems = tuple(bits(self.mask))
+        return self._elems
 
     def __contains__(self, a: int | Element) -> bool:
         if isinstance(a, Element):
@@ -42,7 +50,7 @@ class Ideal:
         return hash((id(self.ring), self.mask))
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
         return f"Ideal({self.ring.name}, {list(self.elems)})"
@@ -69,7 +77,7 @@ class Ideal:
         for a in self.elems:
             if not (got >> a) & 1:
                 gens.append(a)
-                got = ring.ideal_mask_closure(got | ring.principal_masks[a])
+                got = _mask_sum(ring, got, ring.principal_masks[a])
                 if got == self.mask:
                     break
         return tuple(gens) if gens else (ring.zero,)
@@ -84,31 +92,14 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 
 
 def ideal_from_generators(ring: FiniteRing, gens) -> Ideal:
-    """Smallest ideal containing the generators (closure computation)."""
-    idxs = []
-    for g in gens:
-        if isinstance(g, Element):
-            if g.ring is not ring:
-                raise ForeignElement("generator from a different ring")
-            idxs.append(g.index)
-        else:
-            if not 0 <= int(g) < ring.order:
-                raise NotAnIdeal(f"generator {g} out of range for order {ring.order}")
-            idxs.append(int(g))
-    return Ideal(ring, ring.ideal_mask_from_generators(idxs))
+    """Smallest ideal containing the generators (indices or elements)."""
+    return Ideal(ring, ring.ideal_mask_from_generators(gens))
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     if i.ring is not j.ring:
         raise RingMismatch("ideals of different rings")
-    ring = i.ring
-    add = ring.add_rows
-    mask = 0
-    for a in i.elems:
-        row = add[a]
-        for b in j.elems:
-            mask |= 1 << row[b]
-    return Ideal(ring, mask)
+    return Ideal(i.ring, _mask_sum(i.ring, i.mask, j.mask))
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -201,29 +192,23 @@ def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
 
 
 def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
-    """The complete ideal lattice, by breadth-first closure under sums.
-
-    Seeds with the zero ideal and all principal ideals, then adds pairwise
-    sums until fixpoint.  Returned sorted by (size, mask) for determinism.
+    """The complete ideal lattice: the closure of the zero ideal under
+    I -> I + (a) over the distinct nonzero principal ideals (a), each sum one
+    _mask_sum.  Every ideal of a finite ring is a sum of principal ideals,
+    so the closure reaches them all.  Sorted by (size, mask).
     """
     if ring.order > lattice_bound:
         raise OrderTooLarge(
             f"order {ring.order} exceeds lattice bound {lattice_bound}"
         )
-    masks = {1 << ring.zero}
-    masks.update(ring.principal_masks)
-    add = ring.add_rows
-    worklist = list(masks)
+    zero = 1 << ring.zero
+    principals = set(ring.principal_masks) - {zero}
+    masks = {zero}
+    worklist = [zero]
     while worklist:
         m = worklist.pop()
-        m_elems = list(bits(m))
-        for other in list(masks):
-            o_elems = list(bits(other))
-            s = 0
-            for a in m_elems:
-                row = add[a]
-                for b in o_elems:
-                    s |= 1 << row[b]
+        for p in principals:
+            s = _mask_sum(ring, m, p)
             if s not in masks:
                 masks.add(s)
                 worklist.append(s)

@@ -53,6 +53,25 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _mask_sum(ring: "FiniteRing", m: int, p: int) -> int:
+    """The sum of two additive subgroups given as masks (two ideals, say), in
+    about |m + p| table reads: m, then the coset m + y of the lowest y of p
+    not yet covered, until p is covered.  As m + (m + y) = m + y, that union
+    is m + p."""
+    if p & ~m == 0 or m & ~p == 0:
+        return m | p
+    members = list(bits(m))
+    add = ring.add_rows
+    total = m
+    rest = p & ~m
+    while rest:
+        row = add[(rest & -rest).bit_length() - 1]
+        for x in members:
+            total |= 1 << row[x]
+        rest &= ~total
+    return total
+
+
 def _row_masks(flags: np.ndarray) -> list[int]:
     """The bitmask of each row of a boolean array (bit j from column j); a
     1-D array is one row."""
@@ -481,20 +500,13 @@ class FiniteRing:
     # -- mask-level ideal helpers (used by builders and the ideal layer)
 
     def ideal_mask_closure(self, seed_mask: int) -> int:
-        """Additive closure of a union of ideals (already an ideal then)."""
-        members = list(bits(seed_mask))
-        mask = seed_mask
-        queue = list(members)
-        add = self.add_rows
-        while queue:
-            x = queue.pop()
-            row = add[x]
-            for y in members[:]:
-                s = row[y]
-                if not (mask >> s) & 1:
-                    mask |= 1 << s
-                    members.append(s)
-                    queue.append(s)
+        """Additive closure of a union of ideals: the sum of the principal
+        ideals of its elements, skipping those already covered."""
+        mask = 1 << self.zero
+        principal = self.principal_masks
+        for a in bits(seed_mask):
+            if not (mask >> a) & 1:
+                mask = _mask_sum(self, mask, principal[a])
         return mask
 
     def ideal_mask_from_generators(self, gens: Iterable[int]) -> int:
@@ -528,14 +540,8 @@ class FiniteRing:
         maximal ideal); otherwise None.  A finite commutative ring is local
         exactly when this succeeds."""
         nonunits = ((1 << self.order) - 1) ^ self.unit_mask
-        add = self.add_rows
-        members = list(bits(nonunits))
-        for x in members:
-            row = add[x]
-            for y in members:
-                if not (nonunits >> row[y]) & 1:
-                    return None
-        return nonunits
+        # a union of principal ideals: an ideal when closed under +
+        return nonunits if self.ideal_mask_closure(nonunits) == nonunits else None
 
 
 # -- constructors -------------------------------------------------------

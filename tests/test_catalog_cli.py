@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ringlab.catalog import default_catalog
-from ringlab.cli import main
+from ringlab.cli import main, make_parser
 from ringlab.errors import ParseError
 from ringlab.ideals import all_ideals
 from ringlab.rings import (
@@ -185,6 +185,23 @@ def test_cli_spectrum(capsys):
     # below the spp bound but above the lattice bound
     assert main(["spectrum", "Z/20", "--lattice-bound", "16"]) == 2
     assert "exceeds lattice bound 16" in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
+    # one parser serves every call of main in a process; each call must print
+    # what a freshly built parser prints, so no flag or default carries over
+    sequence = [
+        ["check", "Z/12", "--lattice-bound", "8"], ["spectrum", "Z/20"], ["check", "Z/4"],
+        ["check", "Z/12"],
+    ]
+    make_parser.cache_clear()
+    shared = [(main(argv), capsys.readouterr()) for argv in sequence]
+    assert make_parser.cache_info().misses == 1
+    assert [status for status, _ in shared] == [0, 0, 0, 0]
+    assert shared[0] != shared[3]  # the lattice bound changes the report
+    for argv, got in zip(sequence, shared):
+        make_parser.cache_clear()
+        assert (main(argv), capsys.readouterr()) == got, argv
 
 
 @pytest.mark.parametrize("argv, order, bound", [
