@@ -40,12 +40,23 @@ def _bounds_from_args(args) -> Bounds:
     )
 
 
+def _bound(text: str) -> int:
+    """A bound flag's value: an int >= 0; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lattice-bound", type=int, default=Bounds.lattice,
+    parser.add_argument("--lattice-bound", type=_bound, default=Bounds.lattice,
                         help="max ring order for full ideal-lattice operations")
-    parser.add_argument("--element-bound", type=int, default=Bounds.element,
+    parser.add_argument("--element-bound", type=_bound, default=Bounds.element,
                         help="max ring order for element-level deciders")
-    parser.add_argument("--spp-bound", type=int, default=Bounds.spp,
+    parser.add_argument("--spp-bound", type=_bound, default=Bounds.spp,
                         help="max ring order for pure-spectrum enumeration")
 
 

@@ -8,7 +8,13 @@ Skipped entries always name the bound that caused the skip.
 The deciders build their witnesses and details as JSON-native values (ints,
 bools, strs, lists and dicts with str keys), so the document takes them as
 they are, in one pass over the verdicts; a value of any other type makes
-``json.dumps`` raise ``TypeError``.
+the writer raise ``TypeError``.
+
+The writer gives the text of ``json.dumps`` with sorted keys and compact
+separators, but in pieces: ring dicts that share every value but ``spec``
+(the copies ``build_document`` makes) are encoded once, and
+``write_json_atomic`` streams the pieces to a temporary file that is renamed
+into place, so a failed encode leaves no partial file.
 """
 
 from __future__ import annotations
@@ -158,22 +164,71 @@ def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _document_pieces(doc: dict):
+    """Yield the text of ``json.dumps(doc, sort_keys=True, separators=(",",
+    ":")) + "\n"`` in pieces, one list element at a time.
+
+    A dict element with a ``spec`` key is cut there: the keys before it and
+    the keys after it are encoded once per distinct tuple of value
+    identities, so a ring dict copied as ``{**doc, "spec": ...}`` costs one
+    encode of its spec."""
+    encode = _ENCODER.encode
+    memo: dict[tuple, tuple[str, str]] = {}
+    yield "{"
+    for index, (key, value) in enumerate(sorted(doc.items())):
+        if index:
+            yield ","
+        yield encode(key)
+        yield ":"
+        if not isinstance(value, list):
+            yield encode(value)
+            continue
+        yield "["
+        for position, item in enumerate(value):
+            if position:
+                yield ","
+            if not (isinstance(item, dict) and "spec" in item):
+                yield encode(item)
+                continue
+            items = sorted(item.items())
+            cut = next(i for i, (k, _) in enumerate(items) if k == "spec")
+            ident = tuple((k, id(v)) for k, v in items if k != "spec")
+            pieces = memo.get(ident)
+            if pieces is None:
+                head = encode(dict(items[:cut]))[1:-1]
+                tail = encode(dict(items[cut + 1:]))[1:-1]
+                pieces = memo[ident] = (
+                    "{" + head + ("," if head else "") + '"spec":',
+                    ("," if tail else "") + tail + "}",
+                )
+            yield pieces[0]
+            yield encode(item["spec"])
+            yield pieces[1]
+        yield "]"
+    yield "}\n"
+
+
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(_document_pieces(doc))
 
 
 def write_json_atomic(path: str, doc: dict) -> None:
-    """Write the serialized document in one rename, never partially.
+    """Stream the serialized document to a temporary file and rename it into
+    place, so no reader ever sees a partial file.
 
-    An OSError from creating, writing or renaming is raised again naming
-    ``path`` rather than the temporary file."""
-    text = dumps_document(doc)
+    An encoding error (``TypeError`` for a non-JSON value) removes the
+    temporary file and leaves ``path`` as it was.  An OSError from creating,
+    writing or renaming is raised again naming ``path`` rather than the
+    temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(_document_pieces(doc))
             # mkstemp creates the file 0600; give it the mode a plain open would
             umask = os.umask(0)
             os.umask(umask)

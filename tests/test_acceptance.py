@@ -276,9 +276,13 @@ def test_criterion_10_deterministic_reports():
 
     # the reference classifies every ring on its own; verify-catalog's path
     # classifies each distinct key once
-    _, first = document([classify_ring(ring) for ring in rings])
+    unshared, first = document([classify_ring(ring) for ring in rings])
     doc, second = document(classify_catalog(rings))
     assert first == second
+    # the streamed writer gives json.dumps's text whether or not dicts are shared
+    for streamed, source in ((first, unshared), (second, doc)):
+        plain = json.dumps(source, sort_keys=True, separators=(",", ":")) + "\n"
+        assert streamed == plain.encode()
     # every witness is JSON-native: the document survives a round trip as is
     assert json.loads(second) == doc
     assert doc["aggregate"]["failed"] == 0

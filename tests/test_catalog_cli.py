@@ -6,11 +6,14 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import ringlab
 from ringlab.catalog import default_catalog
 from ringlab.cli import main, make_parser
 from ringlab.errors import ParseError
@@ -173,6 +176,32 @@ def test_cli_usage_errors(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--lattice-bound", "--element-bound", "--spp-bound"])
+@pytest.mark.parametrize("argv", [["check", "Z/4"], ["spectrum", "Z/4"],
+                                  ["verify-catalog", "--max-order", "4"]])
+def test_cli_negative_bound_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    path = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= 0, got -5" in captured.err
+    assert not path.exists()
+    # 0 stays a valid bound
+    args = make_parser().parse_args([*argv, flag, "0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+
+def test_python_m_ringlab(tmp_path):
+    src = os.path.dirname(os.path.dirname(ringlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "ringlab", "check", "Z/4"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ring Z/4 (order 4)\n")
 
 
 def test_cli_spectrum(capsys):
