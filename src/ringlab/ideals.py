@@ -4,16 +4,20 @@ Storing ideals as masks over the carrier turns every quantified condition
 ("for each a in I ...") into a finite scan, and makes sum, product,
 intersection, radical and annihilator cheap exact set computations.  An
 ideal is its mask (its element tuple is built on first read), and every
-sum of ideals goes through one coset kernel, rings._mask_sum.
+sum of ideals goes through one coset kernel, rings._mask_sum.  The lattice
+of a ring built as a product is formed from its factors' lattices, under
+the same lattice bound on the product's own order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import DEFAULT_LATTICE_BOUND
 from .errors import ForeignElement, OrderTooLarge, RingMismatch
-from .rings import Element, FiniteRing, _mask_sum, bits, mask_of
+from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _row_masks, bits, mask_of
 
 
 class Ideal:
@@ -192,15 +196,40 @@ def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
 
 
 def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
-    """The complete ideal lattice: the closure of the zero ideal under
-    I -> I + (a) over the distinct nonzero principal ideals (a), each sum one
-    _mask_sum.  Every ideal of a finite ring is a sum of principal ideals,
-    so the closure reaches them all.  Sorted by (size, mask).
+    """The complete ideal lattice, sorted by (size, mask).
+
+    The bound applies to the ring's own order; see _lattice_masks for how
+    the lattice is enumerated.
     """
     if ring.order > lattice_bound:
         raise OrderTooLarge(
             f"order {ring.order} exceeds lattice bound {lattice_bound}"
         )
+    return [
+        Ideal(ring, m)
+        for m in sorted(_lattice_masks(ring), key=lambda m: (m.bit_count(), m))
+    ]
+
+
+def _lattice_masks(ring: FiniteRing) -> list[int]:
+    """The masks of every ideal, in no particular order.
+
+    The ideals of R_1 x ... x R_k are exactly the products I_1 x ... x I_k
+    (Atiyah-Macdonald, Ch. 1, Ex. 1.22), so a ring built as a product
+    combines its factors' lattices with whole-array operations, the first
+    factor's index most significant as in product_ring.  Any other ring
+    closes the zero ideal under I -> I + (a) over the distinct nonzero
+    principal ideals (a), each sum one _mask_sum; every ideal of a finite
+    ring is a sum of principal ideals, so the closure reaches them all.
+    """
+    if ring.factors:
+        rows = np.ones((1, 1), dtype=bool)
+        for f in ring.factors:
+            own = _mask_rows(_lattice_masks(f), f.order)
+            rows = (rows[:, None, :, None] & own[None, :, None, :]).reshape(
+                rows.shape[0] * own.shape[0], rows.shape[1] * own.shape[1]
+            )
+        return _row_masks(rows)
     zero = 1 << ring.zero
     principals = set(ring.principal_masks) - {zero}
     masks = {zero}
@@ -212,10 +241,7 @@ def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> 
             if s not in masks:
                 masks.add(s)
                 worklist.append(s)
-    return [
-        Ideal(ring, m)
-        for m in sorted(masks, key=lambda m: (m.bit_count(), m))
-    ]
+    return list(masks)
 
 
 @dataclass(frozen=True)

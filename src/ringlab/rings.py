@@ -81,6 +81,15 @@ def _row_masks(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """Each bitmask over n elements as a boolean row: the inverse of
+    _row_masks."""
+    width = (n + 7) // 8
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 # Miller-Rabin to the prime bases 2..41 decides primality exactly below this
 # (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -587,11 +596,11 @@ def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
         xpow[k, 1:] = xpow[k - 1, :-1]
         xpow[k] = (xpow[k] - xpow[k - 1, -1] * np.array(coeffs[:d])) % p
     add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
-    prod = np.zeros((n, n, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            prod += np.multiply.outer(digits[:, a], digits[:, b])[:, :, None] * xpow[a + b]
-    mul = prod % p @ weights
+    # shifted[a, t] holds the digits of a * x^t, one matrix product per t;
+    # the digits of a * b are then sum_t digits[b, t] * shifted[a, t], so
+    # the whole (n, n, d) product is one stacked matmul
+    shifted = np.stack([digits @ xpow[t : t + d] for t in range(d)], axis=1) % p
+    mul = np.matmul(digits, shifted) % p @ weights
     return FiniteRing(add, mul, one=1, spec=specs.PolyQuot(p, coeffs, spec.var))
 
 
