@@ -205,10 +205,16 @@ def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> 
         raise OrderTooLarge(
             f"order {ring.order} exceeds lattice bound {lattice_bound}"
         )
-    return [
-        Ideal(ring, m)
-        for m in sorted(_lattice_masks(ring), key=lambda m: (m.bit_count(), m))
-    ]
+    return [Ideal(ring, m) for m in _sorted_lattice_masks(ring)]
+
+
+def _sorted_lattice_masks(ring: FiniteRing) -> list[int]:
+    """The masks of every ideal, sorted by (size, mask), memoized on the
+    table data that every ring with the same tables shares."""
+    tables = ring.tables
+    if tables.lattice is None:
+        tables.lattice = sorted(_lattice_masks(ring), key=lambda m: (m.bit_count(), m))
+    return tables.lattice
 
 
 def _lattice_masks(ring: FiniteRing) -> list[int]:
@@ -225,7 +231,7 @@ def _lattice_masks(ring: FiniteRing) -> list[int]:
     if ring.factors:
         rows = np.ones((1, 1), dtype=bool)
         for f in ring.factors:
-            own = _mask_rows(_lattice_masks(f), f.order)
+            own = _mask_rows(_sorted_lattice_masks(f), f.order)
             rows = (rows[:, None, :, None] & own[None, :, None, :]).reshape(
                 rows.shape[0] * own.shape[0], rows.shape[1] * own.shape[1]
             )

@@ -2,9 +2,12 @@
 
 A ring of order N is a pair of N x N Cayley tables over element indices
 0..N-1.  Index 0 is always the additive identity; the multiplicative
-identity is recorded explicitly.  Every constructor validates the full
-axiom set (commutativity, associativity, identities, inverses,
-distributivity) before returning, so downstream code never re-checks.
+identity is recorded explicitly.  Each distinct (add, mul, one) is
+validated against the full axiom set (commutativity, associativity,
+identities, inverses, distributivity) once while some ring holds it: the
+tables and everything derived from them are interned, and a ring built
+with tables a live ring already holds shares that ring's checked data, so
+downstream code never re-checks.
 Commutativity, identities and inverses are checked on the whole tables;
 associativity and distributivity are decided exactly on additive
 generators (at most log2(N) when + is a group) by Light's associativity
@@ -13,13 +16,15 @@ the additivity of the associator.  Only a table that fails is scanned on
 all N^3 triples.
 The element data the deciders read (power reach, Ann(a), Ra, the stable
 Ann(a^oo), 1 - b and the purity witness sets) is derived from the tables on
-first use, once for all elements.
+first use, once for all elements and for every ring with those tables.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -290,113 +295,38 @@ class Element:
         return f"<{self.index} in {self.ring.name}>"
 
 
-class FiniteRing:
-    """Carrier 0..N-1 with full addition/multiplication tables.
+class _Tables:
+    """The data that depends only on a ring's tables and identity.
 
-    Immutable after construction; derived data (power reach, annihilator,
-    principal-ideal and special-element masks, 1 - b, and for each a the
-    bitmasks of the b with a(1-b) zero or nilpotent) is computed on first
-    use, once for all elements, with whole-array operations on the tables.
-    Purity scan results and the images {1 - v : v in J} are memoized on the
-    ring as the deciders ask for them.
+    Held by every FiniteRing with equal (add, mul, one), through the
+    interner _INTERNED: the int32 tables (read-only views of the interned
+    bytes), their nested-list rows, negation, the element data derived on
+    first use, once for all elements, with whole-array operations (power
+    reach, annihilator, principal-ideal and special-element masks, 1 - b,
+    and for each a the bitmasks of the b with a(1-b) zero or nilpotent),
+    and the memos the deciders fill: purity scans, the images
+    {1 - v : v in J} and the sorted ideal lattice.  It refers to no ring,
+    so it is freed with the last ring that holds it.
     """
 
-    def __init__(
-        self,
-        add: np.ndarray,
-        mul: np.ndarray,
-        one: int,
-        spec: specs.RingSpec,
-        factors: tuple["FiniteRing", ...] = (),
-    ):
-        add = np.asarray(add, dtype=np.int32)
-        mul = np.asarray(mul, dtype=np.int32)
+    def __init__(self, key: tuple, add_rows: list[list[int]]):
+        # key is the interner's (shapes, add bytes, mul bytes, one) of tables
+        # that passed validate_ring_tables, so both shapes are (n, n)
+        (n, _), _, self.add_bytes, self.mul_bytes, self.one = key
+        self.order = n
+        self.zero = 0
+        self.add_table = np.frombuffer(self.add_bytes, dtype=np.int32).reshape(n, n)
+        self.mul_table = np.frombuffer(self.mul_bytes, dtype=np.int32).reshape(n, n)
         # plain nested lists are noticeably faster than ndarray scalar access
         # in the exhaustive scans that dominate this package
-        self.add_rows: list[list[int]] = add.tolist()
-        validate_ring_tables(add, mul, one, self.add_rows)
-        self.order = int(add.shape[0])
-        self.add_table = add
-        self.mul_table = mul
-        self.zero = 0
-        self.one = one
-        self.spec = spec
-        # the rings a product was built from; () for any other ring
-        self.factors = factors
-        self.mul_rows: list[list[int]] = mul.tolist()
-        self.neg_of: list[int] = np.argmax(add == 0, axis=1).tolist()
+        self.add_rows = add_rows
+        self.mul_rows: list[list[int]] = self.mul_table.tolist()
+        self.neg_of: list[int] = np.argmax(self.add_table == 0, axis=1).tolist()
         # ideals._purity_scan results by (mask, nil), and one_minus_image by mask
         self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
         self._one_minus_images: dict[int, int] = {}
-
-    # -- presentation -------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return specs.print_ring_spec(self.spec)
-
-    def __repr__(self) -> str:
-        return f"FiniteRing({self.name}, order={self.order})"
-
-    # -- element arithmetic -------------------------------------------
-
-    def element(self, index: int) -> Element:
-        return Element(self, index)
-
-    def elements(self) -> Iterator[Element]:
-        return (Element(self, i) for i in range(self.order))
-
-    def _idx(self, a: Element | int) -> int:
-        if isinstance(a, Element):
-            if a.ring is not self:
-                raise ForeignElement(f"element of {a.ring.name} used in {self.name}")
-            return a.index
-        if not 0 <= a < self.order:
-            raise ForeignElement(f"index {a} out of range for order {self.order}")
-        return a
-
-    def add(self, a: Element | int, b: Element | int) -> Element:
-        return Element(self, self.add_rows[self._idx(a)][self._idx(b)])
-
-    def neg(self, a: Element | int) -> Element:
-        return Element(self, self.neg_of[self._idx(a)])
-
-    def sub(self, a: Element | int, b: Element | int) -> Element:
-        return Element(self, self.add_rows[self._idx(a)][self.neg_of[self._idx(b)]])
-
-    def mul(self, a: Element | int, b: Element | int) -> Element:
-        return Element(self, self.mul_rows[self._idx(a)][self._idx(b)])
-
-    def pow(self, a: Element | int, k: int) -> Element:
-        if k < 0:
-            raise ValueError("exponent must be >= 0")
-        return Element(self, self.pow_index(self._idx(a), k))
-
-    def pow_index(self, a: int, k: int) -> int:
-        """Square-and-multiply over the multiplication table."""
-        result = self.one
-        base = a
-        while k > 0:
-            if k & 1:
-                result = self.mul_rows[result][base]
-            base = self.mul_rows[base][base]
-            k >>= 1
-        return result
-
-    @cached_property
-    def key(self) -> tuple:
-        """The tables, one and the factors' keys: everything a report reads
-        of the ring except its name.  Rings with equal keys get equal
-        reports; dict lookup compares the full bytes, so equal hashes alone
-        never make two keys equal."""
-        return (
-            self.add_table.tobytes(),
-            self.mul_table.tobytes(),
-            self.one,
-            tuple(f.key for f in self.factors),
-        )
-
-    # -- derived element data: each list is computed once, for every element
+        # the ideal masks of ideals.all_ideals, sorted by (size, mask)
+        self.lattice: list[int] | None = None
 
     @cached_property
     def power_masks(self) -> list[int]:
@@ -496,6 +426,144 @@ class FiniteRing:
     @cached_property
     def idempotents(self) -> list[int]:
         return np.flatnonzero(self.mul_table.diagonal() == np.arange(self.order)).tolist()
+
+
+# The table data of every distinct (add, mul, one) some live ring holds, by
+# (shapes, add bytes, mul bytes, one).  Lookup compares the full bytes, so
+# equal hashes alone never share data, and the shapes keep a reshaped table
+# from matching a valid one.  Values are weak: an entry goes with its last
+# ring, so no table data outlives the rings of one request.
+_INTERNED: weakref.WeakValueDictionary[tuple, _Tables] = weakref.WeakValueDictionary()
+
+
+def _shared(name: str) -> cached_property:
+    """A FiniteRing attribute read from its _Tables on first use.  The ring
+    then keeps a reference to that same object, so the deciders' inner
+    loops read it as a plain attribute."""
+    return cached_property(attrgetter(f"tables.{name}"))
+
+
+class FiniteRing:
+    """Carrier 0..N-1 with full addition/multiplication tables.
+
+    Immutable after construction.  Everything that depends only on the
+    tables (the tables themselves, their rows, the derived element data and
+    the memos) is read from ``tables``, a _Tables shared by every live ring
+    with equal tables: a new (add, mul, one) is validated and interned, and
+    a ring whose tables some live ring already holds reuses that data.  The
+    spec, name, factors and key are the ring's own.
+    """
+
+    def __init__(
+        self,
+        add: np.ndarray,
+        mul: np.ndarray,
+        one: int,
+        spec: specs.RingSpec,
+        factors: tuple["FiniteRing", ...] = (),
+    ):
+        add = np.asarray(add, dtype=np.int32)
+        mul = np.asarray(mul, dtype=np.int32)
+        key = (add.shape, mul.shape, add.tobytes(), mul.tobytes(), one)
+        tables = _INTERNED.get(key)
+        if tables is None:
+            add_rows = add.tolist()
+            validate_ring_tables(add, mul, one, add_rows)
+            tables = _INTERNED[key] = _Tables(key, add_rows)
+        self.tables = tables
+        self.order = tables.order
+        self.zero = 0
+        self.one = one
+        self.spec = spec
+        # the rings a product was built from; () for any other ring
+        self.factors = factors
+
+    add_table = _shared("add_table")
+    mul_table = _shared("mul_table")
+    add_rows = _shared("add_rows")
+    mul_rows = _shared("mul_rows")
+    neg_of = _shared("neg_of")
+    scan_memo = _shared("scan_memo")
+    power_masks = _shared("power_masks")
+    ann_masks = _shared("ann_masks")
+    principal_masks = _shared("principal_masks")
+    one_minus = _shared("one_minus")
+    ann_stable = _shared("ann_stable")
+    nil_mask = _shared("nil_mask")
+    pure_witnesses = _shared("pure_witnesses")
+    npure_witnesses = _shared("npure_witnesses")
+    one_minus_image = _shared("one_minus_image")
+    unit_mask = _shared("unit_mask")
+    jacobson_mask = _shared("jacobson_mask")
+    idempotents = _shared("idempotents")
+
+    # -- presentation -------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        return specs.print_ring_spec(self.spec)
+
+    def __repr__(self) -> str:
+        return f"FiniteRing({self.name}, order={self.order})"
+
+    # -- element arithmetic -------------------------------------------
+
+    def element(self, index: int) -> Element:
+        return Element(self, index)
+
+    def elements(self) -> Iterator[Element]:
+        return (Element(self, i) for i in range(self.order))
+
+    def _idx(self, a: Element | int) -> int:
+        if isinstance(a, Element):
+            if a.ring is not self:
+                raise ForeignElement(f"element of {a.ring.name} used in {self.name}")
+            return a.index
+        if not 0 <= a < self.order:
+            raise ForeignElement(f"index {a} out of range for order {self.order}")
+        return a
+
+    def add(self, a: Element | int, b: Element | int) -> Element:
+        return Element(self, self.add_rows[self._idx(a)][self._idx(b)])
+
+    def neg(self, a: Element | int) -> Element:
+        return Element(self, self.neg_of[self._idx(a)])
+
+    def sub(self, a: Element | int, b: Element | int) -> Element:
+        return Element(self, self.add_rows[self._idx(a)][self.neg_of[self._idx(b)]])
+
+    def mul(self, a: Element | int, b: Element | int) -> Element:
+        return Element(self, self.mul_rows[self._idx(a)][self._idx(b)])
+
+    def pow(self, a: Element | int, k: int) -> Element:
+        if k < 0:
+            raise ValueError("exponent must be >= 0")
+        return Element(self, self.pow_index(self._idx(a), k))
+
+    def pow_index(self, a: int, k: int) -> int:
+        """Square-and-multiply over the multiplication table."""
+        result = self.one
+        base = a
+        mul = self.mul_rows
+        while k > 0:
+            if k & 1:
+                result = mul[result][base]
+            base = mul[base][base]
+            k >>= 1
+        return result
+
+    @cached_property
+    def key(self) -> tuple:
+        """The tables, one and the factors' keys: everything a report reads
+        of the ring except its name.  Rings with equal keys get equal
+        reports; dict lookup compares the full bytes, so equal hashes alone
+        never make two keys equal.  The bytes are the interned ones."""
+        return (
+            self.tables.add_bytes,
+            self.tables.mul_bytes,
+            self.one,
+            tuple(f.key for f in self.factors),
+        )
 
     def additive_order(self, a: int) -> int:
         k = 1
