@@ -11,9 +11,10 @@ build-failing event.
 Most ring-level routes are rows ``_row(method, family, test)`` of
 PROPERTY_METHODS: one loop applies the test to each member of the family
 (ideals, annihilators, primes with their kernels and localizations) and
-reports the first failure.  The theorem checks are the ordered table
-THEOREM_CHECKS of ``(check, bound, requires, body)`` rows; a body returns
-None for a pass, a detail dict for a failure or a skip reason.
+reports the first failure; a RingContext decides each route once.  The
+theorem checks are the ordered table THEOREM_CHECKS of ``(check, bound,
+requires, body)`` rows; a body returns None for a pass, a detail dict for
+a failure or a skip reason.
 
 An ideal I is *pure* when each a in I has b in I with a(1-b) = 0, and
 *N-pure* when a(1-b) only needs to be nilpotent.  The eight N-purity
@@ -37,7 +38,7 @@ rings.  Witness tie-breaking always picks the lexicographically smallest
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, attrgetter
 from typing import Callable, Iterable, NamedTuple
@@ -145,13 +146,14 @@ class PropertyReport:
 
 
 class RingContext:
-    """Per-ring cache of the expensive derived structures.
+    """Per-ring owner of every derived structure and ring-level verdict.
 
-    Lattice, spectrum, pure-ideal list, pure spectrum, Jacobson radical,
-    localizations and kernels are computed at most once per ring;
-    everything downstream reuses them.  The lattice is enumerated here
-    only, and the spectrum, pure ideals, pure spectrum and Jacobson radical
-    are derived from it.
+    Lattice, spectrum, pure ideals, pure spectrum, pure cores (radical mask
+    -> the pure ideals with that radical), reduction, Jacobson radical and
+    ideal universe are cached properties.  The lattice is enumerated here
+    only, and the spectrum, pure ideals and Jacobson radical derive from it.
+    Kernels and localizations are kept per prime, and verdict(method)
+    decides each ring-level route once for every reader.
     """
 
     def __init__(self, ring: FiniteRing, bounds: Bounds | None = None):
@@ -161,39 +163,37 @@ class RingContext:
             raise OrderTooLarge(
                 f"order {ring.order} exceeds element bound {self.bounds.element}"
             )
-        self._lattice: list[Ideal] | None = None
-        self._spectrum: Spectrum | None = None
-        self._pure: list[Ideal] | None = None
-        self._pure_spectrum: PureSpectrum | None = None
         self._kernels: dict[int, Ideal] = {}
         self._localizations: dict[int, FiniteRing] = {}
-        self._reduction: tuple[FiniteRing, list[int]] | None = None
-        self._universe: tuple[list[Ideal], bool] | None = None
-        self._jacobson: Ideal | None = None
+        self._verdicts: dict[str, Verdict] = {}
 
+    @cached_property
     def lattice(self) -> list[Ideal]:
-        if self._lattice is None:
-            self._lattice = all_ideals(self.ring, self.bounds.lattice)
-        return self._lattice
+        return all_ideals(self.ring, self.bounds.lattice)
 
+    @cached_property
     def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            self._spectrum = spectrum(self.lattice())
-        return self._spectrum
+        return spectrum(self.lattice)
 
+    @cached_property
     def pure_list(self) -> list[Ideal]:
-        if self._pure is None:
-            self._pure = pure_ideals(self.lattice())
-        return self._pure
+        return pure_ideals(self.lattice)
 
+    @cached_property
     def pure_spectrum(self) -> PureSpectrum:
-        if self._pure_spectrum is None:
-            if self.ring.order > self.bounds.spp:
-                raise OrderTooLarge(
-                    f"order {self.ring.order} exceeds pure-spectrum bound {self.bounds.spp}"
-                )
-            self._pure_spectrum = pure_spectrum(self.lattice(), self.pure_list())
-        return self._pure_spectrum
+        if self.ring.order > self.bounds.spp:
+            raise OrderTooLarge(
+                f"order {self.ring.order} exceeds pure-spectrum bound {self.bounds.spp}"
+            )
+        return pure_spectrum(self.lattice, self.pure_list)
+
+    @cached_property
+    def pure_cores(self) -> dict[int, list[Ideal]]:
+        """Radical mask -> the pure ideals with that radical, in pure_list order."""
+        cores: dict[int, list[Ideal]] = {}
+        for j in self.pure_list:
+            cores.setdefault(radical(j).mask, []).append(j)
+        return cores
 
     def kernel(self, p: Ideal) -> Ideal:
         got = self._kernels.get(p.mask)
@@ -216,51 +216,50 @@ class RingContext:
             self._localizations[p.mask] = got
         return got
 
+    @cached_property
     def reduction(self) -> tuple[FiniteRing, list[int]]:
         """The quotient by the nilradical and the projection index map; the
         ring itself and the identity map when the nilradical is zero."""
-        if self._reduction is None:
-            nil = nilradical(self.ring)
-            if nil.is_zero:
-                # the quotient by zero has the same tables: keep the ring
-                self._reduction = (self.ring, list(range(self.ring.order)))
-            else:
-                spec = specs.Quotient(self.ring.spec, nil.generators())
-                self._reduction = (
-                    quotient_ring(self.ring, nil.mask, spec),
-                    quotient_projection(self.ring, nil.mask),
-                )
-        return self._reduction
+        nil = nilradical(self.ring)
+        if nil.is_zero:
+            # the quotient by zero has the same tables: keep the ring
+            return self.ring, list(range(self.ring.order))
+        spec = specs.Quotient(self.ring.spec, nil.generators())
+        return quotient_ring(self.ring, nil.mask, spec), quotient_projection(self.ring, nil.mask)
 
+    @cached_property
     def jacobson(self) -> Ideal:
-        if self._jacobson is None:
-            if self.ring.order <= self.bounds.lattice:
-                self._jacobson = jacobson_radical(self.ring, self.spectrum().maximal)
-            else:
-                self._jacobson = Ideal(self.ring, self.ring.jacobson_mask)
-        return self._jacobson
+        if self.ring.order <= self.bounds.lattice:
+            return jacobson_radical(self.ring, self.spectrum.maximal)
+        return Ideal(self.ring, self.ring.jacobson_mask)
 
+    @cached_property
     def ideal_universe(self) -> tuple[list[Ideal], bool]:
         """Full lattice within the bound; above it a deterministic sample:
         principal ideals, the nil and Jacobson radicals, and pairwise sums
         of distinct principal ideals."""
-        if self._universe is None:
-            ring = self.ring
-            if ring.order <= self.bounds.lattice:
-                self._universe = (self.lattice(), False)
-            else:
-                masks = {1 << ring.zero, ring.nil_mask, self.jacobson().mask}
-                principals = sorted(set(ring.principal_masks))
-                masks.update(principals)
-                for x, i in enumerate(principals):
-                    for j in principals[x + 1 :]:
-                        masks.add(_mask_sum(ring, i, j))
-                ideals = [
-                    Ideal(ring, m)
-                    for m in sorted(masks, key=lambda m: (m.bit_count(), m))
-                ]
-                self._universe = (ideals, True)
-        return self._universe
+        ring = self.ring
+        if ring.order <= self.bounds.lattice:
+            return self.lattice, False
+        masks = {1 << ring.zero, ring.nil_mask, self.jacobson.mask}
+        principals = sorted(set(ring.principal_masks))
+        masks.update(principals)
+        for x, i in enumerate(principals):
+            for j in principals[x + 1 :]:
+                masks.add(_mask_sum(ring, i, j))
+        ideals = [Ideal(ring, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+        return ideals, True
+
+    def verdict(self, method: str) -> Verdict:
+        """The verdict of the named ring-level route, decided at most once.  The
+        route is looked up in PROPERTY_METHODS then, so a route replaced there
+        is the one that runs; OrderTooLarge propagates and is not kept."""
+        got = self._verdicts.get(method)
+        if got is None:
+            route = next(fn for routes in PROPERTY_METHODS.values()
+                         for name, fn in routes if name == method)
+            got = self._verdicts[method] = route(self)
+        return got
 
 
 # -- shared helpers ------------------------------------------------------
@@ -374,14 +373,8 @@ def _npure_radical_npure(ctx: RingContext, ideal: Ideal) -> Verdict:
     )
 
 
-def _pure_cores(ctx: RingContext, ideal: Ideal) -> list[Ideal]:
-    """The pure ideals with the same radical as the given one."""
-    rad = radical(ideal).mask
-    return [j for j in ctx.pure_list() if radical(j).mask == rad]
-
-
 def _npure_pure_core(ctx: RingContext, ideal: Ideal) -> Verdict:
-    matches = _pure_cores(ctx, ideal)
+    matches = ctx.pure_cores.get(radical(ideal).mask, [])
     if len(matches) == 1:
         return Verdict("pure_core", True, {"core": list(matches[0].elems)})
     return Verdict(
@@ -392,7 +385,7 @@ def _npure_pure_core(ctx: RingContext, ideal: Ideal) -> Verdict:
 
 
 def _npure_mod_nil(ctx: RingContext, ideal: Ideal) -> Verdict:
-    reduced, proj = ctx.reduction()
+    reduced, proj = ctx.reduction
     image = mask_of(proj[a] for a in ideal.elems)
     return _scan_verdict("mod_nil", reduced, image, nil=False, image=list(bits(image)))
 
@@ -477,7 +470,7 @@ def _spectrum_family(which: str, view: Callable, witness=_named_ideal) -> Family
     """Members of one spectrum list ("primes", "minimal" or "maximal"),
     each with view(ctx, prime) as its subject."""
     return Family(
-        lambda ctx: ((p, view(ctx, p)) for p in getattr(ctx.spectrum(), which)), witness
+        lambda ctx: ((p, view(ctx, p)) for p in getattr(ctx.spectrum, which)), witness
     )
 
 
@@ -490,11 +483,11 @@ def _kernel_witness(p: Ideal, kernel: int, detail: dict) -> dict:
 
 
 UNIVERSE = Family(
-    lambda ctx: ((i, i.mask) for i in ctx.ideal_universe()[0]),
+    lambda ctx: ((i, i.mask) for i in ctx.ideal_universe[0]),
     _named_ideal,
-    lambda ctx: ({"ideals_checked": len(ctx.ideal_universe()[0])}, ctx.ideal_universe()[1]),
+    lambda ctx: ({"ideals_checked": len(ctx.ideal_universe[0])}, ctx.ideal_universe[1]),
 )
-LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice()), _named_ideal)
+LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice), _named_ideal)
 PRINCIPAL = Family(
     lambda ctx: enumerate(ctx.ring.principal_masks),
     lambda a, mask, detail: {"generator": a, **detail},
@@ -510,9 +503,9 @@ ANNIHILATOR_SETS = ANNIHILATORS._replace(
     }
 )
 JACOBSON = Family(
-    lambda ctx: [(ctx.jacobson(), ctx.jacobson().mask)],
+    lambda ctx: [(ctx.jacobson, ctx.jacobson.mask)],
     lambda jac, mask, detail: {"jacobson": list(jac.elems), **detail},
-    lambda ctx: ({"jacobson": list(ctx.jacobson().elems)}, False),
+    lambda ctx: ({"jacobson": list(ctx.jacobson.elems)}, False),
 )
 PRIMES = _spectrum_family("primes", lambda ctx, p: p.mask)
 MINIMAL = _spectrum_family("minimal", lambda ctx, p: p.mask)
@@ -523,24 +516,16 @@ LOCAL_AT_PRIMES = _spectrum_family("primes", lambda ctx, p: ctx.localization(p))
 LOCAL_AT_MAXIMALS = _spectrum_family("maximal", lambda ctx, p: ctx.localization(p))
 
 
-def _first_failure(ctx: RingContext, family: Family, test) -> dict | None:
-    """The witness naming the first member that fails the test, or None."""
-    for member, subject in family.members(ctx):
-        detail = test(ctx, member, subject)
-        if detail is not None:
-            return family.witness(member, subject, detail)
-    return None
-
-
 def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext], Verdict]]:
     """The route that applies a test to every member of a family."""
 
     def route(ctx: RingContext) -> Verdict:
         passed, sampled = family.summary(ctx)
-        failure = _first_failure(ctx, family, test)
-        if failure is None:
-            return Verdict(method, True, passed, sampled)
-        return Verdict(method, False, failure, sampled)
+        for member, subject in family.members(ctx):
+            detail = test(ctx, member, subject)
+            if detail is not None:
+                return Verdict(method, False, family.witness(member, subject, detail), sampled)
+        return Verdict(method, True, passed, sampled)
 
     return method, route
 
@@ -585,7 +570,7 @@ def _kernel_primary(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
 
 
 def _one_minimal_below(ctx: RingContext, p: Ideal, mask: int) -> dict | None:
-    below = [q for q in ctx.spectrum().minimal if p.contains_ideal(q)]
+    below = [q for q in ctx.spectrum.minimal if p.contains_ideal(q)]
     return None if len(below) == 1 else {"minimal_below": [list(q.elems) for q in below]}
 
 
@@ -653,8 +638,8 @@ def _idempotent_generator(ring: FiniteRing, a: int) -> int | None:
 
 def _spectra_difference(ctx: RingContext) -> dict | None:
     """None when Spec = Spp, else both lists."""
-    spp_masks = sorted(p.mask for p in ctx.pure_spectrum().members)
-    spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
+    spp_masks = sorted(p.mask for p in ctx.pure_spectrum.members)
+    spec_masks = sorted(p.mask for p in ctx.spectrum.primes)
     if spec_masks == spp_masks:
         return None
     return {
@@ -667,7 +652,7 @@ def _nested_route(method: str, differ: Callable[[RingContext, Ideal, Ideal], boo
     """No primes p <= q (p = q included) for which differ(ctx, p, q) holds."""
 
     def route(ctx: RingContext) -> Verdict:
-        primes = ctx.spectrum().primes
+        primes = ctx.spectrum.primes
         for p in primes:
             for q in primes:
                 if q.contains_ideal(p) and differ(ctx, p, q):
@@ -721,7 +706,7 @@ def _npure_primes_difference(ctx: RingContext) -> dict | None:
     unique-minimal condition, so this is the necessary side of the mid
     characterization."""
     got = {p.mask for p in npure_primes(ctx)}
-    want = {p.mask for p in ctx.spectrum().minimal}
+    want = {p.mask for p in ctx.spectrum.minimal}
     if got == want:
         return None
     return {"difference": [list(bits(m)) for m in sorted(got ^ want)]}
@@ -742,13 +727,13 @@ def _set_difference(left: int, right: int) -> dict | None:
     return None if left == right else {"element": next(bits(left ^ right))}
 
 
-def _pp_composite(method: str, part: str, decide: Callable[[RingContext], Verdict]):
+def _pp_composite(method: str, part: str, decide: str):
     """p.p. as the named route plus a regular total quotient ring; Q(R) = R
     for finite rings, so the regularity is decided on R itself."""
 
     def route(ctx: RingContext) -> Verdict:
-        inner = decide(ctx)
-        vnr = _SQUARE_WITNESS[1](ctx)
+        inner = ctx.verdict(decide)
+        vnr = ctx.verdict("square_witness")
         witness = {part: inner.value, "fractions_vnr": vnr.value}
         if not inner.value:
             witness[f"{part}_witness"] = inner.witness
@@ -759,10 +744,6 @@ def _pp_composite(method: str, part: str, decide: Callable[[RingContext], Verdic
     return method, route
 
 
-_SQUARE_WITNESS = _choice_route("square_witness", _square_factor)
-_ANNIHILATORS_NPURE = _row("annihilators_npure", ANNIHILATORS, _npure)
-_ANNIHILATOR_POWER_PURE = _choice_route("annihilator_power_pure", _pure_annihilator_power)
-
 PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     "reduced": [
         _ring_route(
@@ -772,19 +753,19 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     ],
     "semiprimitive": [
         _ring_route(
-            "zero_jacobson", lambda ctx: _set_difference(ctx.jacobson().mask, 1 << ctx.ring.zero)
+            "zero_jacobson", lambda ctx: _set_difference(ctx.jacobson.mask, 1 << ctx.ring.zero)
         ),
         _row("jacobson_pure", JACOBSON, _pure),
     ],
     "nj_ring": [
         _ring_route(
             "nil_equals_jacobson",
-            lambda ctx: _set_difference(ctx.jacobson().mask, ctx.ring.nil_mask),
+            lambda ctx: _set_difference(ctx.jacobson.mask, ctx.ring.nil_mask),
         ),
         _row("jacobson_npure", JACOBSON, _npure),
     ],
     "von_neumann_regular": [
-        _SQUARE_WITNESS,
+        _choice_route("square_witness", _square_factor),
         _row("all_ideals_pure", UNIVERSE, _pure),
         _row("principal_ideals_pure", PRINCIPAL, _pure),
         _row("maximal_ideals_pure", MAXIMAL, _pure),
@@ -809,7 +790,7 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
         _row("all_kernels_npure", KERNELS_AT_PRIMES, _npure),
     ],
     "mid_ring": [
-        _ANNIHILATORS_NPURE,
+        _row("annihilators_npure", ANNIHILATORS, _npure),
         _cover_route("zero_divisor_mixed_cover", both_powers=False),
         _row("localizations_primary_at_primes", LOCAL_AT_PRIMES, _local_primary),
         _row("localizations_primary_at_maximals", LOCAL_AT_MAXIMALS, _local_primary),
@@ -827,15 +808,15 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
         _ring_route("zero_ideal_primary", lambda ctx: _primary_pair(zero_ideal(ctx.ring), "pair"))
     ],
     "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, _pure)],
-    "gpf_ring": [_ANNIHILATOR_POWER_PURE],
+    "gpf_ring": [_choice_route("annihilator_power_pure", _pure_annihilator_power)],
     "pp_ring": [
         _choice_route(
             "annihilators_idempotent_generated",
             _idempotent_generator,
             lambda ring, a: {"ann": list(bits(ring.ann_masks[a]))},
         ),
-        _pp_composite("mid_and_fractions_vnr", "mid", _ANNIHILATORS_NPURE[1]),
-        _pp_composite("gpf_and_fractions_vnr", "gpf", _ANNIHILATOR_POWER_PURE[1]),
+        _pp_composite("mid_and_fractions_vnr", "mid", "annihilators_npure"),
+        _pp_composite("gpf_and_fractions_vnr", "gpf", "annihilator_power_pure"),
     ],
 }
 
@@ -866,9 +847,9 @@ def canonical_property(name: str) -> str:
 def classify_property(ctx: RingContext, name: str) -> PropertyResult:
     name = canonical_property(name)
     results: list[MethodResult] = []
-    for method, fn in PROPERTY_METHODS[name]:
+    for method, _ in PROPERTY_METHODS[name]:
         try:
-            results.append(fn(ctx))
+            results.append(ctx.verdict(method))
         except OrderTooLarge as exc:
             results.append(Skipped(method, str(exc)))
     return PropertyResult(name, results)
@@ -890,7 +871,7 @@ def ring_class(ring: FiniteRing, prop: str, method: str | None = None,
 def npure_primes(ctx: RingContext) -> list[Ideal]:
     """Primes passing the N-purity def scan, sorted by mask."""
     return sorted(
-        (p for p in ctx.spectrum().primes if _is_npure(ctx.ring, p.mask)),
+        (p for p in ctx.spectrum.primes if _is_npure(ctx.ring, p.mask)),
         key=lambda p: p.mask,
     )
 
@@ -900,25 +881,24 @@ def npure_primes(ctx: RingContext) -> list[Ideal]:
 
 def _agreed(report: dict[str, PropertyResult], name: str) -> bool | None:
     res = report.get(name)
-    if res is None or not res.consistent:
-        return None
-    return res.value
+    return None if res is None else res.value
 
 
-def _mid_failure(ring: FiniteRing, bounds: Bounds) -> dict | None:
-    """The annihilators_npure route on any ring: its failure witness or None."""
-    return _first_failure(RingContext(ring, bounds), ANNIHILATORS, _npure)
+def _mid_verdict(ctx: RingContext, ring: FiniteRing) -> Verdict:
+    """The annihilators_npure verdict of a ring derived from ctx's ring; that
+    ring itself (a local ring, or R/(0)) reads ctx's verdict."""
+    sub = ctx if ring is ctx.ring else RingContext(ring, ctx.bounds)
+    return sub.verdict("annihilators_npure")
 
 
 def _pure_ideals_npure(ctx: RingContext, props) -> dict | None:
     """Every pure ideal is N-pure; so are its radical and the nilradical."""
     ring = ctx.ring
-    for i in ctx.lattice():
-        if _is_pure(ring, i.mask):
-            if not _is_npure(ring, i.mask):
-                return {"ideal": list(i.elems)}
-            if not _is_npure(ring, radical(i).mask):
-                return {"ideal": list(i.elems), "radical": True}
+    for i in ctx.pure_list:
+        if not _is_npure(ring, i.mask):
+            return {"ideal": list(i.elems)}
+        if not _is_npure(ring, radical(i).mask):
+            return {"ideal": list(i.elems), "radical": True}
     if not _is_npure(ring, ring.nil_mask):
         return {"nilradical": True}
     return None
@@ -926,19 +906,17 @@ def _pure_ideals_npure(ctx: RingContext, props) -> dict | None:
 
 def _reduced_iff_families_coincide(ctx: RingContext, props) -> dict | None:
     reduced = ctx.ring.nil_mask == 1 << ctx.ring.zero
-    divergent = _first_failure(ctx, LATTICE, _scans_agree)
-    if (divergent is None) == reduced:
+    families = ctx.verdict("npure_equals_pure_ideals")
+    if families.value == reduced:
         return None
-    detail = {"reduced": reduced, "families_coincide": divergent is None}
-    if divergent is not None:
-        detail["ideal"] = divergent["ideal"]
-    return detail
+    detail = {"reduced": reduced, "families_coincide": families.value}
+    return detail if families.value else {**detail, "ideal": families.witness["ideal"]}
 
 
 def _powers_npure(ctx: RingContext, props) -> dict | None:
     """N-pure exactly when every power is N-pure."""
     ring = ctx.ring
-    for i in ctx.lattice():
+    for i in ctx.lattice:
         base = _is_npure(ring, i.mask)
         current = i
         while True:
@@ -956,7 +934,7 @@ _IDEAL_OPERATIONS = (("sum", ideal_sum), ("product", ideal_product),
 
 
 def _npure_closure(ctx: RingContext, props) -> dict | None:
-    npure_ideals = [i for i in ctx.lattice() if _is_npure(ctx.ring, i.mask)]
+    npure_ideals = [i for i in ctx.lattice if _is_npure(ctx.ring, i.mask)]
     for i in npure_ideals:
         for j in npure_ideals:
             for op, combine in _IDEAL_OPERATIONS:
@@ -967,7 +945,7 @@ def _npure_closure(ctx: RingContext, props) -> dict | None:
 
 def _power_intersection_npure(ctx: RingContext, props) -> dict | None:
     """R x^n meet I = x^n I for all x forces N-purity."""
-    for i in ctx.lattice():
+    for i in ctx.lattice:
         if power_intersection_hypothesis(i)[0] and not _is_npure(ctx.ring, i.mask):
             return {"ideal": list(i.elems)}
     return None
@@ -975,7 +953,7 @@ def _power_intersection_npure(ctx: RingContext, props) -> dict | None:
 
 def _radical_formula_tracks(ctx: RingContext, props) -> dict | None:
     """The annihilator-complement set is the radical exactly for N-pure ideals."""
-    for i in ctx.lattice():
+    for i in ctx.lattice:
         matches = _radical_formula_mask(ctx, i) == radical(i).mask
         if matches != _is_npure(ctx.ring, i.mask):
             return {"ideal": list(i.elems), "formula_matches_radical": matches}
@@ -983,9 +961,9 @@ def _radical_formula_tracks(ctx: RingContext, props) -> dict | None:
 
 
 def _unique_pure_core(ctx: RingContext, props) -> dict | None:
-    for i in ctx.lattice():
+    for i in ctx.lattice:
         if _is_npure(ctx.ring, i.mask):
-            count = len(_pure_cores(ctx, i))
+            count = len(ctx.pure_cores.get(radical(i).mask, []))
             if count != 1:
                 return {"ideal": list(i.elems), "count": count}
     return None
@@ -994,7 +972,7 @@ def _unique_pure_core(ctx: RingContext, props) -> dict | None:
 def _minimal_kernels(ctx: RingContext, props) -> dict | None:
     """At a minimal prime the kernel's radical is the prime, the two have
     the same vanishing set, and the kernel is primary."""
-    spec = ctx.spectrum()
+    spec = ctx.spectrum
     for p in spec.minimal:
         k = ctx.kernel(p)
         named = {"prime": list(p.elems)}
@@ -1008,7 +986,7 @@ def _minimal_kernels(ctx: RingContext, props) -> dict | None:
 
 
 def _vnr_iff_spectra_coincide(ctx: RingContext, props) -> dict | str | None:
-    same = _spectra_difference(ctx) is None
+    same = ctx.verdict("spectrum_equals_pure_spectrum").value
     vnr = _agreed(props, "von_neumann_regular")
     if vnr is None:
         return "vnr verdict unavailable"
@@ -1026,39 +1004,39 @@ def _implies(src: str, dst: str):
 
 
 def _mid_localizations(ctx: RingContext, props) -> dict | None:
-    for p in ctx.spectrum().primes:
-        failure = _mid_failure(ctx.localization(p), ctx.bounds)
-        if failure is not None:
-            return {"prime": list(p.elems), "element": failure["element"]}
+    for p in ctx.spectrum.primes:
+        mid = _mid_verdict(ctx, ctx.localization(p))
+        if not mid.value:
+            return {"prime": list(p.elems), "element": mid.witness["element"]}
     return None
 
 
 def _mid_quotients(ctx: RingContext, props) -> dict | None:
     ring = ctx.ring
-    for i in ctx.pure_list():
+    for i in ctx.pure_list:
         if not i.is_proper:
             continue
         if i.is_zero:
             q = ring  # R/(0) has the same tables
         else:
             q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
-        failure = _mid_failure(q, ctx.bounds)
-        if failure is not None:
-            return {"pure_ideal": list(i.elems), "element": failure["element"]}
+        mid = _mid_verdict(ctx, q)
+        if not mid.value:
+            return {"pure_ideal": list(i.elems), "element": mid.witness["element"]}
     return None
 
 
 def _product_mid(ctx: RingContext, props) -> dict | None:
-    whole = _mid_failure(ctx.ring, ctx.bounds) is None
-    factors = all(_mid_failure(f, ctx.bounds) is None for f in ctx.ring.factors)
+    whole = ctx.verdict("annihilators_npure").value
+    factors = all(_mid_verdict(ctx, f).value for f in ctx.ring.factors)
     return None if whole == factors else {"product": whole, "factors": factors}
 
 
 def _gpf_localizations(ctx: RingContext, props) -> dict | None:
-    failure = _first_failure(ctx, LOCAL_AT_PRIMES, _local_primary)
-    if failure is None:
+    local = ctx.verdict("localizations_primary_at_primes")
+    if local.value:
         return None
-    return {"prime": failure["ideal"], "pair": failure["local_pair"]}
+    return {"prime": local.witness["ideal"], "pair": local.witness["local_pair"]}
 
 
 def _pp_iff(via: str):
@@ -1067,7 +1045,7 @@ def _pp_iff(via: str):
         if pp is None or mid is None or gpf is None:
             return "verdict unavailable"
         other = mid if via == "mid" else gpf
-        vnr = _SQUARE_WITNESS[1](ctx).value  # Q(R) = R for finite rings
+        vnr = ctx.verdict("square_witness").value  # Q(R) = R for finite rings
         return None if pp == (other and vnr) else {"pp": pp, via: other, "fractions_vnr": vnr}
 
     return body
@@ -1101,12 +1079,12 @@ THEOREM_CHECKS = [
     ("mid_implies_mp", None, None, _implies("mid_ring", "mp_ring")),
     ("mid_localizations_are_mid", _LATTICE_BOUND, "mid", _mid_localizations),
     ("quotients_by_pure_ideals_are_mid", _LATTICE_BOUND, "mid", _mid_quotients),
-    ("product_mid_iff_factors_mid", attrgetter("element"), "product", _product_mid),
+    ("product_mid_iff_factors_mid", None, "product", _product_mid),
     ("gpf_localizations_are_primary", _LATTICE_BOUND, "gpf", _gpf_localizations),
     ("pp_iff_mid_and_fractions_vnr", None, None, _pp_iff("mid")),
     ("pp_iff_gpf_and_fractions_vnr", None, None, _pp_iff("gpf")),
     ("npure_primes_equal_minimal", _LATTICE_BOUND, "mid",
-     lambda ctx, props: _npure_primes_difference(ctx)),
+     lambda ctx, props: ctx.verdict("minimal_primes_exactly_npure").witness),
 ]
 
 
@@ -1156,7 +1134,7 @@ def classify_ring(
     needed = PROPERTY_ORDER if with_theorems else names
     computed = {name: classify_property(ctx, name) for name in needed}
     prop_results = {name: computed[name] for name in names}
-    universe, sampled = ctx.ideal_universe()
+    universe, sampled = ctx.ideal_universe
     ideal_results = [classify_ideal(ctx, i) for i in universe]
     checks = verify_theorems(ctx, computed) if with_theorems else []
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)

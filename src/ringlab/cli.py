@@ -132,7 +132,7 @@ def cmd_spectrum(args) -> int:
     bounds = _bounds_from_args(args)
     ring = build(parse_ring_spec(args.spec), bounds.element)
     ctx = RingContext(ring, bounds)
-    spect = ctx.spectrum()
+    spect = ctx.spectrum
 
     def fmt(ideals) -> str:
         return ", ".join("(" + " ".join(map(str, i.elems)) + ")" for i in ideals) or "-"
@@ -143,7 +143,7 @@ def cmd_spectrum(args) -> int:
     print(f"  maximal: {fmt(spect.maximal)}")
     print(f"  npure  : {fmt(npure_primes(ctx))}")
     if ring.order <= bounds.spp:
-        print(f"  spp    : {fmt(ctx.pure_spectrum().members)}")
+        print(f"  spp    : {fmt(ctx.pure_spectrum.members)}")
     else:
         print(f"  spp    : skipped (order {ring.order} exceeds spp bound {bounds.spp})")
     return 0

@@ -99,7 +99,7 @@ def test_criterion_2_radical_formula(catalog16_rings):
     checked = mismatches = 0
     for ring in catalog16_rings:
         ctx = RingContext(ring)
-        for ideal in ctx.lattice():
+        for ideal in ctx.lattice:
             formula = _radical_formula_mask(ctx, ideal)
             matches = formula == radical(ideal).mask
             npure = _npure_ok(ring, ideal.mask)
@@ -162,16 +162,16 @@ def test_criterion_5_spectra_coincide_iff_regular():
         ctx = RingContext(ring)
         vnr = classify_property(ctx, "von_neumann_regular")
         assert vnr.consistent
-        spec_masks = sorted(p.mask for p in ctx.spectrum().primes)
-        spp_masks = sorted(p.mask for p in ctx.pure_spectrum().members)
+        spec_masks = sorted(p.mask for p in ctx.spectrum.primes)
+        spp_masks = sorted(p.mask for p in ctx.pure_spectrum.members)
         assert (spec_masks == spp_masks) == vnr.value, ring.name
 
     z4 = RingContext(build(Zmod(4)))
-    assert [tuple(i.elems) for i in z4.pure_spectrum().members] == [(0,), (0, 2)]
-    assert [tuple(i.elems) for i in z4.spectrum().primes] == [(0, 2)]
+    assert [tuple(i.elems) for i in z4.pure_spectrum.members] == [(0,), (0, 2)]
+    assert [tuple(i.elems) for i in z4.spectrum.primes] == [(0, 2)]
     z6 = RingContext(build(Zmod(6)))
-    spp6 = sorted(tuple(i.elems) for i in z6.pure_spectrum().members)
-    spec6 = sorted(tuple(i.elems) for i in z6.spectrum().primes)
+    spp6 = sorted(tuple(i.elems) for i in z6.pure_spectrum.members)
+    spec6 = sorted(tuple(i.elems) for i in z6.spectrum.primes)
     assert spp6 == spec6 == [(0, 2, 4), (0, 3)]
     _report(
         "ACCEPTANCE 5 PASS: Spec = Spp exactly on regular rings; "
@@ -228,7 +228,7 @@ def test_criterion_8_localization_coherence(catalog16_rings):
     count = 0
     for ring in catalog16_rings:
         ctx = RingContext(ring)
-        for m in ctx.spectrum().maximal:
+        for m in ctx.spectrum.maximal:
             loc = ctx.localization(m)
             assert loc.local_maximal_mask() is not None, ring.name
             assert radical(ctx.kernel(m)) == m, ring.name

@@ -377,3 +377,35 @@ def test_cli_table_spec(tmp_path, capsys):
     assert main(["check", f"table:{path}"]) == 0
     out = capsys.readouterr().out
     assert "von_neumann_regular: true" in out
+
+
+def _z3_with(table: str, edits):
+    """Z/3's tables as table-file lines, with symmetric edits (i, j, value)
+    to one of them."""
+    rows = {
+        "add": [[(i + j) % 3 for j in range(3)] for i in range(3)],
+        "mul": [[i * j % 3 for j in range(3)] for i in range(3)],
+    }
+    for i, j, value in edits:
+        rows[table][i][j] = rows[table][j][i] = value
+    return ["3"] + [" ".join(map(str, row)) for row in rows["add"] + rows["mul"]]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (_z3_with("add", [(1, 2, 3)]), "addition table entry out of range"),
+        (_z3_with("mul", [(2, 2, -1)]), "multiplication table entry out of range"),
+        (_z3_with("add", [(0, 1, 2)]), "zero is not an additive identity"),
+        (_z3_with("mul", [(1, 2, 1)]), "one is not a multiplicative identity"),
+        # rows 1 and 2 become 1 1 2 and 2 2 2: neither holds a 0
+        (_z3_with("add", [(1, 1, 1), (1, 2, 2), (2, 2, 2)]), "some element has no additive inverse"),
+    ],
+)
+def test_cli_table_axiom_messages(tmp_path, capsys, lines, message):
+    path = tmp_path / "bad.tbl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

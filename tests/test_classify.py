@@ -165,7 +165,7 @@ def test_method_agreement_mini_catalog(mini_rings):
         for name in PROPERTY_ORDER:
             res = classify_property(ctx, name)
             assert res.consistent, (r.name, name, [(v.method, v.value) for v in res.verdicts])
-        for i in ctx.lattice():
+        for i in ctx.lattice:
             ic = classify_ideal(ctx, i)
             assert ic.npure.consistent, (r.name, list(i.elems))
             # every ideal of a finite ring is N-pure; each route must see it
@@ -210,7 +210,7 @@ def test_monotone_implications(mini_rings):
         assert not values["gpf_ring"] or values["mid_ring"]
         assert not values["primary_ring"] or values["mid_ring"]
         assert not values["mid_ring"] or values["mp_ring"]
-        for i in ctx.lattice():
+        for i in ctx.lattice:
             if is_pure(i).value:
                 assert is_npure(i, "def", ctx).value
 
@@ -270,7 +270,7 @@ def test_npure_primes_examples():
     ctx = RingContext(r)
     got = {tuple(p.elems) for p in npure_primes(ctx)}
     assert got == {(0, 2, 4, 6, 8, 10), (0, 3, 6, 9)}
-    assert got == {tuple(p.elems) for p in ctx.spectrum().minimal}
+    assert got == {tuple(p.elems) for p in ctx.spectrum.minimal}
 
     field = build(PolyQuot(5, (3, 1)))
     assert [tuple(p.elems) for p in npure_primes(RingContext(field))] == [(0,)]
@@ -313,7 +313,7 @@ def test_sampled_mode_beyond_lattice_bound():
     r = build(Zmod(12))
     bounds = Bounds(lattice=8)
     ctx = RingContext(r, bounds)
-    universe, sampled = ctx.ideal_universe()
+    universe, sampled = ctx.ideal_universe
     assert sampled
     # principal ideals of Z/12 are the whole lattice, so sampling is exact
     assert {i.mask for i in universe} == {i.mask for i in all_ideals(r)}
@@ -380,9 +380,9 @@ def test_ideal_battery_reduces_only_a_nonreduced_ring(monkeypatch, spec, quotien
     ring = build(spec)
     ctx = RingContext(ring)
     calls = _count_calls(monkeypatch, rings.quotient_ring)
-    results = [classify_ideal(ctx, i) for i in ctx.lattice()]
+    results = [classify_ideal(ctx, i) for i in ctx.lattice]
     assert calls == [ring] * quotients
-    reduced, proj = ctx.reduction()
+    reduced, proj = ctx.reduction
     assert (reduced is ring) == (quotients == 0)
     if reduced is ring:
         assert proj == list(range(ring.order))

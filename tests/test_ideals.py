@@ -214,7 +214,7 @@ def test_jacobson_unit_characterization_fallback():
     specs += [Product((Zmod(4), Zmod(9))), PolyQuot(2, (0, 0, 0, 1)), PolyQuot(3, (1, 0, 1))]
     for spec in specs:
         r = build(spec)
-        assert RingContext(r, Bounds(lattice=2)).jacobson() == RingContext(r).jacobson()
+        assert RingContext(r, Bounds(lattice=2)).jacobson == RingContext(r).jacobson
 
 
 def test_power_intersection_hypothesis():

@@ -5,6 +5,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
+import re
+import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -526,3 +530,107 @@ def test_is_prime_refuses_at_the_limit():
         is_prime(PRIMALITY_LIMIT)
     with pytest.raises(BadModulus, match=str(PRIMALITY_LIMIT)):
         is_prime(10**40 + 1)
+
+
+# -- table validation messages -------------------------------------------
+
+
+def _z3_tables():
+    idx = np.arange(3)
+    return (idx[:, None] + idx[None, :]) % 3, (idx[:, None] * idx[None, :]) % 3
+
+
+@pytest.mark.parametrize(
+    "add, mul, one, message",
+    [
+        (np.zeros((2, 3)), np.zeros((2, 3)), 1, "tables must be square and of equal size"),
+        (_z3_tables()[0], np.zeros((2, 2)), 1, "tables must be square and of equal size"),
+        ([[0]], [[0]], 0, "ring must have at least two elements (zero ring rejected)"),
+        (*_z3_tables(), 3, "identity indices out of range"),
+        (*_z3_tables(), -1, "identity indices out of range"),
+        (*_z3_tables(), 0, "zero and one coincide (zero ring rejected)"),
+    ],
+)
+def test_constructor_rejects_malformed_tables(add, mul, one, message):
+    with pytest.raises(NotARing, match=f"^{re.escape(message)}$"):
+        FiniteRing(add, mul, one=one, spec=TableSpec("bad.tbl"))
+
+
+# -- isomorphism search ----------------------------------------------------
+
+
+def _relabelled(ring: FiniteRing, seed: int) -> FiniteRing:
+    """The ring's tables under a random bijection sigma fixing 0: the copy
+    has sigma(a) + sigma(b) = sigma(a + b), and likewise for products."""
+    rest = list(range(1, ring.order))
+    random.Random(seed).shuffle(rest)
+    sigma = np.array([0] + rest)
+    add, mul = np.empty_like(ring.add_table), np.empty_like(ring.mul_table)
+    add[np.ix_(sigma, sigma)] = sigma[ring.add_table]
+    mul[np.ix_(sigma, sigma)] = sigma[ring.mul_table]
+    return FiniteRing(add, mul, one=int(sigma[ring.one]), spec=TableSpec("relabelled.tbl"))
+
+
+def _is_isomorphism(phi, r1: FiniteRing, r2: FiniteRing) -> bool:
+    p = np.array(phi)
+    return sorted(phi) == list(range(r1.order)) and all(
+        np.array_equal(p[t1], t2[np.ix_(p, p)])
+        for t1, t2 in ((r1.add_table, r2.add_table), (r1.mul_table, r2.mul_table))
+    )
+
+
+def _brute_force_isomorphic(r1: FiniteRing, r2: FiniteRing) -> bool:
+    """Whether some bijection fixing 0 carries both tables of r1 onto r2's."""
+    perms = np.array([(0, *p) for p in itertools.permutations(range(1, r1.order))])
+    ok = np.ones(len(perms), dtype=bool)
+    for t1, t2 in ((r1.add_table, r2.add_table), (r1.mul_table, r2.mul_table)):
+        ok &= (perms[:, t1] == t2[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+    return bool(ok.any())
+
+
+def test_isomorphism_search_backtracks_on_relabelled_copies():
+    # 0 and 1 generate only the prime subring here, so the search has to
+    # guess further images, and some guesses fail and are undone; calls
+    # counts (callee, caller) pairs of the search's inner functions
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == rings.__file__:
+            calls[frame.f_code.co_name, frame.f_back.f_code.co_name] += 1
+
+    for text in ("GF(2)[x]/(x^2 + x + 1)", "GF(2)[x]/(x^3 + x + 1)",
+                 "product(Z/2, Z/2, Z/2)", "product(Z/4, Z/2)"):
+        ring = build(parse_ring_spec(text))
+        for seed in range(4):
+            copy = _relabelled(ring, seed)
+            sys.setprofile(profile)
+            try:
+                phi = find_isomorphism(ring, copy)
+            finally:
+                sys.setprofile(None)
+            assert phi is not None, (text, seed)
+            assert _is_isomorphism(phi, ring, copy)
+    assert calls["search", "search"] > 0  # a candidate was kept and the search went on
+    assert calls["undo", "assign"] > 0  # a candidate contradicted the tables at once
+    assert calls["undo", "search"] > 0  # a kept candidate failed further down
+
+
+def test_isomorphism_search_matches_brute_force_on_catalog8():
+    distinct = {}
+    for ring in default_catalog(8):
+        distinct.setdefault((ring.add_table.tobytes(), ring.mul_table.tobytes(), ring.one), ring)
+    profiles = {
+        key: sorted(rings._profile(ring, a) for a in range(ring.order))
+        for key, ring in distinct.items()
+    }
+    pairs = [
+        (distinct[k1], distinct[k2])
+        for k1, k2 in itertools.combinations(distinct, 2)
+        if profiles[k1] == profiles[k2]
+    ]
+    assert len(pairs) == 14
+    for r1, r2 in pairs:
+        phi = find_isomorphism(r1, r2)
+        assert (phi is not None) == _brute_force_isomorphic(r1, r2), (r1.name, r2.name)
+        if phi is not None:
+            assert _is_isomorphism(phi, r1, r2)

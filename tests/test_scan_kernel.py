@@ -133,7 +133,7 @@ def test_kernel_matches_reference_on_ideal_universe(spec):
     # sampled above the lattice bound (Z/200, order 128), the full lattice
     # of product(Z/8, Z/8)
     ring = build(spec)
-    ideals, sampled = RingContext(ring).ideal_universe()
+    ideals, sampled = RingContext(ring).ideal_universe
     assert sampled == (ring.order > 64)
     _assert_kernel_matches(ring, [i.mask for i in ideals])
 

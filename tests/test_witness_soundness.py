@@ -170,7 +170,7 @@ def _ann_mask(ring, a):
 def test_witness_soundness_across_catalog():
     for ring in default_catalog(12):
         ctx = RingContext(ring)
-        universe, _ = ctx.ideal_universe()
+        universe, _ = ctx.ideal_universe
         for ideal in universe:
             _check_ideal_verdicts(ring, ideal, classify_ideal(ctx, ideal))
         results = {name: classify_property(ctx, name) for name in PROPERTY_ORDER}
