@@ -19,6 +19,7 @@ from ringlab.classify import (
     NPURE_METHODS,
     PROPERTY_METHODS,
     PROPERTY_ORDER,
+    THEOREM_CHECKS,
     PropertyResult,
     RingContext,
     Verdict,
@@ -26,7 +27,7 @@ from ringlab.classify import (
     classify_ring,
     verify_theorems,
 )
-from ringlab.ideals import Ideal, ideal_from_generators
+from ringlab.ideals import Ideal, ideal_from_generators, radical
 from ringlab.rings import build
 from ringlab.spectra import Spectrum
 from ringlab.specs import Product, Zmod
@@ -345,3 +346,129 @@ def test_each_route_runs_at_most_once_per_context(monkeypatch):
         own = {m for ctx, m in calls if ctx.ring is report.ring}
         assert own == methods
         assert {m for ctx, m in calls if ctx.ring is not report.ring} <= {"annihilators_npure"}
+
+
+# -- failure branches no finite ring reaches -------------------------------
+
+
+def _context(spec, primes=None, minimal=None, maximal=None) -> RingContext:
+    """A fresh context, its spectrum replaced when lists are given."""
+    ring = build(spec)
+    ctx = RingContext(ring)
+    if primes is not None:
+        ctx.spectrum = Spectrum(ring, primes(ring), minimal(ring), maximal(ring))
+    return ctx
+
+
+def _theorem(name: str):
+    return next(body for check, _, _, body in THEOREM_CHECKS if check == name)
+
+
+def test_route_and_check_names_are_distinct():
+    # RingContext.verdict runs the first route of a name, so a repeated
+    # name would stand in for another route
+    methods = [m for routes in PROPERTY_METHODS.values() for m, _ in routes]
+    assert len(methods) == 41
+    assert len(set(methods)) == len(methods)
+    checks = [row[0] for row in THEOREM_CHECKS]
+    assert len(checks) == 20
+    assert len(set(checks)) == len(checks)
+
+
+def test_no_prime_chain_names_the_nested_pair():
+    # (6) lies strictly inside (2): a chain of two "primes"
+    ctx = _z30_context(_principal(6, 2), lambda ring: [], lambda ring: [])
+    verdict = _route("no_prime_chain")(ctx)
+    assert verdict.value is False
+    assert verdict.witness == {
+        "lower": list(ideal_from_generators(ctx.ring, [6]).elems),
+        "upper": list(ideal_from_generators(ctx.ring, [2]).elems),
+    }
+
+
+@pytest.mark.parametrize("method", ["zero_divisor_power_cover", "zero_divisor_mixed_cover"])
+def test_cover_routes_name_the_first_zero_divisor_pair(monkeypatch, method):
+    # with no cover anywhere, the witness is the first zero-divisor pair:
+    # in Z/6 that is (2, 3), and the power cover, which skips b < a, must
+    # not move on to (3, 2)
+    monkeypatch.setattr(classify, "_mask_sum_has_one", lambda ring, m1, m2: (False, None))
+    verdict = _route(method)(_context(Zmod(6)))
+    assert verdict.value is False
+    assert verdict.witness == {"pair": [2, 3]}
+
+
+def test_power_intersection_check_names_the_ideal():
+    # {0, 2} in Z/6 meets the power-intersection hypothesis but is not N-pure
+    ctx = _context(Zmod(6))
+    ctx.lattice = [_set(ctx.ring, [0]), _set(ctx.ring, [0, 2])]
+    assert _theorem("power_intersection_implies_npure")(ctx, {}) == {"ideal": [0, 2]}
+
+
+def test_radical_formula_check_names_the_ideal():
+    # {1} is N-pure (1 - 1 = 0), but its formula set is all of Z/6 and its
+    # radical only the units
+    ctx = _context(Zmod(6))
+    ctx.lattice = [_set(ctx.ring, [0]), _set(ctx.ring, [1])]
+    assert _theorem("radical_formula_tracks_npure")(ctx, {}) == {
+        "ideal": [1], "formula_matches_radical": False
+    }
+
+
+def test_powers_check_names_the_ideal_and_its_power():
+    # {0, 2} is not N-pure; its square generates (2) = {0, 2, 4}, which is
+    ctx = _context(Zmod(6))
+    ctx.lattice = [_set(ctx.ring, [0, 2])]
+    assert _theorem("npure_iff_every_power_npure")(ctx, {}) == {
+        "ideal": [0, 2], "power": [0, 2, 4]
+    }
+
+
+def test_closure_check_names_the_ordered_pair():
+    # {0, 1, 2} and {0, 2, 4} are N-pure, each closed on its own, and meet
+    # in {0, 2}, which is not
+    ctx = _context(Zmod(6))
+    ctx.lattice = [_set(ctx.ring, [0, 1, 2]), _set(ctx.ring, [0, 2, 4])]
+    assert _theorem("npure_closed_under_sum_product_intersection")(ctx, {}) == {
+        "left": [0, 1, 2], "right": [0, 2, 4], "op": "intersection"
+    }
+
+
+def test_pure_ideals_check_names_each_branch(monkeypatch):
+    body = _theorem("pure_ideals_are_npure")
+    ctx = _context(Zmod(12))
+    pure = ctx.pure_list
+    # a planted pure set that is not N-pure
+    ctx.pure_list = [pure[0], _set(ctx.ring, [0, 2])]
+    assert body(ctx, {}) == {"ideal": [0, 2]}
+    # the radical of (0) is the nilradical {0, 6}; let the scan reject it
+    nil = ctx.ring.nil_mask
+    real = classify._is_npure
+    monkeypatch.setattr(classify, "_is_npure", lambda ring, mask: mask != nil and real(ring, mask))
+    ctx.pure_list = pure
+    assert body(ctx, {}) == {"ideal": [0], "radical": True}
+    ctx.pure_list = [i for i in pure if radical(i).mask != nil]
+    assert ctx.pure_list
+    assert body(ctx, {}) == {"nilradical": True}
+
+
+def test_minimal_kernels_check_names_each_branch():
+    body = _theorem("minimal_kernel_radical_recovers_prime")
+    # a kernel whose radical is not the prime
+    ctx = _context(Zmod(30), _principal(2, 3, 5), _principal(2), _principal(3))
+    ctx.kernel = lambda p: ideal_from_generators(ctx.ring, [6])
+    assert body(ctx, {}) == {
+        "prime": list(ideal_from_generators(ctx.ring, [2]).elems),
+        "kernel": list(ideal_from_generators(ctx.ring, [6]).elems),
+    }
+    # in Z/12 the radical of (4) is (2), but a planted "prime" (4) contains
+    # the kernel and not the prime
+    ctx = _context(Zmod(12), _principal(2, 4), _principal(2), _principal(2))
+    ctx.kernel = lambda p: ideal_from_generators(ctx.ring, [4])
+    assert body(ctx, {}) == {"prime": [0, 2, 4, 6, 8, 10], "vanishing_differs": True}
+    # (6) in Z/30 is its own radical and not primary
+    ctx = _context(Zmod(30), _principal(6), _principal(6), _principal(6))
+    ctx.kernel = lambda p: p
+    assert body(ctx, {}) == {
+        "prime": list(ideal_from_generators(ctx.ring, [6]).elems),
+        "kernel_not_primary": True,
+    }
