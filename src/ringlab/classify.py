@@ -4,21 +4,33 @@ Every ring-theoretic property handled here (pure / N-pure ideals,
 reduced, semiprimitive, NJ, von Neumann regular, zero-dimensional, mp,
 mid, primary, p.f., Gpf, p.p.) is decided by a family of independent
 routines, each implementing a different equivalent characterization.
-All routines return a Verdict carrying a re-checkable witness; the
-harness cross-validates the families and treats any disagreement as a
-build-failing event.
+Each returns a Verdict; the harness cross-validates the families and
+treats any disagreement as a build-failing event.
 
-Most ring-level routes are rows ``_row(method, family, test)`` of
-PROPERTY_METHODS: one loop applies the test to each member of the family
-(ideals, annihilators, primes with their kernels and localizations) and
-reports the first failure; a RingContext decides each route once.  The
-theorem checks are the ordered table THEOREM_CHECKS of ``(check, bound,
-requires, body)`` rows; a body returns None for a pass, a detail dict for
-a failure or a skip reason.
+The ring-level routes of PROPERTY_METHODS come in three shapes:
+
+    first-failure scan  ``_row(method, family, test)``: one loop applies the
+                        test to each member of the family (the ring itself,
+                        ideals, annihilators, primes with their kernels and
+                        localizations, nested prime pairs, zero-divisor
+                        pairs) and reports the first failure
+    choice map          ``_choice_route``: the smallest witness of every
+                        element, or the first element without one
+    p.p. composite      ``_pp_composite``: two other routes' verdicts
+
+A RingContext decides each route once.  A False verdict names what
+failed.  A True verdict carries a re-checkable witness only from a choice
+map (the map), a p.p. composite (both parts) and the scans over the ideal
+universe (the count checked) or the Jacobson radical (the radical); the
+other 32 routes return a bare True.  The theorem checks are the ordered
+table THEOREM_CHECKS of ``(check, bound, requires, body)`` rows; a body
+returns None for a pass, a detail dict for a failure or a skip reason, and
+the checks that walk the ideal lattice are first-failure scans too.
 
 An ideal I is *pure* when each a in I has b in I with a(1-b) = 0, and
 *N-pure* when a(1-b) only needs to be nilpotent.  The eight N-purity
-routes:
+routes attach a witness to every verdict; witness_power and ann_complement
+are choice maps over the ideal's elements:
 
     def             nilpotent-complement witness per element
     witness_power   a^n(1-b) = 0 for some n >= 1
@@ -38,7 +50,7 @@ rings.  Witness tie-breaking always picks the lexicographically smallest
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import and_, attrgetter
 from typing import Callable, Iterable, NamedTuple
@@ -48,6 +60,7 @@ from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds
 from .errors import OrderTooLarge
 from .ideals import (
     Ideal,
+    _power_chain,
     _purity_scan,
     all_ideals,
     ideal_intersection,
@@ -138,12 +151,6 @@ class PropertyReport:
     ideals_sampled: bool = False
     theorem_checks: list[TheoremCheck] = field(default_factory=list)
 
-    @property
-    def consistent(self) -> bool:
-        return all(p.consistent for p in self.properties.values()) and all(
-            ic.npure.consistent for ic in self.ideal_results
-        )
-
 
 class RingContext:
     """Per-ring owner of every derived structure and ring-level verdict.
@@ -208,7 +215,7 @@ class RingContext:
         got = self._localizations.get(p.mask)
         if got is None:
             ring = self.ring
-            if ring.localization_kernel_mask(p.mask) == 1 << ring.zero:
+            if self.kernel(p).is_zero:
                 got = ring
             else:
                 spec = specs.LocalizeAt(ring.spec, p.generators())
@@ -283,6 +290,20 @@ def _mask_sum_has_one(ring: FiniteRing, m1: int, m2: int) -> tuple[bool, tuple[i
     return True, (u, ring.one_minus[u])
 
 
+def _choices(method: str, elems: Iterable[int], choose: Callable[[int], list | None],
+             named=lambda a: {}, **passed) -> Verdict:
+    """For every a in elems, choose(a) lists the smallest witness of a, or is
+    None when there is none; named(a) adds to the witness of a failure, and
+    passed to the witness of a pass."""
+    choices = []
+    for a in elems:
+        found = choose(a)
+        if found is None:
+            return Verdict(method, False, {"element": a, **named(a)})
+        choices.append([a, *found])
+    return Verdict(method, True, {"choices": choices, **passed})
+
+
 def _min_power_killing(ring: FiniteRing, a: int, c: int) -> int:
     """Smallest n with a^n * c = 0; caller guarantees one exists."""
     zero = ring.zero
@@ -315,34 +336,28 @@ def _npure_def(ctx: RingContext, ideal: Ideal) -> Verdict:
 
 def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
-    one_minus = ring.one_minus
-    choices = []
-    for a in ideal.elems:
-        _, stable = ring.ann_stable[a]
-        b = next((b for b in ideal.elems if (stable >> one_minus[b]) & 1), None)
-        if b is None:
-            return Verdict("witness_power", False, {"element": a})
-        choices.append([a, b, _min_power_killing(ring, a, one_minus[b])])
-    return Verdict("witness_power", True, {"choices": choices})
+
+    def choose(a: int) -> list | None:
+        # the smallest b of I with 1 - b in Ann(a^oo)
+        ok, pair = _mask_sum_has_one(ring, ideal.mask, ring.ann_stable[a][1])
+        return [pair[0], _min_power_killing(ring, a, pair[1])] if ok else None
+
+    return _choices("witness_power", ideal.elems, choose)
 
 
 def _npure_ann_complement(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
-    choices = []
-    for a in ideal.elems:
-        t_max, _ = ring.ann_stable[a]
+
+    def choose(a: int) -> list | None:
         power = a
-        for t in range(1, t_max + 1):
+        for t in range(1, ring.ann_stable[a][0] + 1):
             ok, pair = _mask_sum_has_one(ring, ring.ann_masks[power], ideal.mask)
             if ok:
-                choices.append([a, t, *pair])
-                break
+                return [t, *pair]
             power = ring.mul_rows[power][a]
-        else:
-            return Verdict("ann_complement", False, {"element": a})
-    return Verdict(
-        "ann_complement", True, {"choices": choices, "fields": ["a", "t", "u", "v"]}
-    )
+        return None
+
+    return _choices("ann_complement", ideal.elems, choose, fields=["a", "t", "u", "v"])
 
 
 def _radical_formula_mask(ctx: RingContext, ideal: Ideal) -> int:
@@ -452,7 +467,7 @@ def classify_ideal(ctx: RingContext, ideal: Ideal) -> IdealClassification:
 
 
 class Family(NamedTuple):
-    """What a family route quantifies over: members(ctx) yields (member,
+    """What a first-failure scan quantifies over: members(ctx) yields (member,
     subject) pairs, witness(member, subject, detail) names a failing one, and
     summary(ctx) gives the witness of a pass and whether the family is a sample.
     """
@@ -482,6 +497,24 @@ def _kernel_witness(p: Ideal, kernel: int, detail: dict) -> dict:
     return {"ideal": list(p.elems), "kernel": list(bits(kernel)), **detail}
 
 
+def _nested_primes(ctx: RingContext):
+    """The pairs of primes p <= q, p = q included."""
+    primes = ctx.spectrum.primes
+    return ((p, q) for p in primes for q in primes if q.contains_ideal(p))
+
+
+def _zero_divisor_pairs(ctx: RingContext):
+    """The pairs (a, b) of nonzero elements with ab = 0."""
+    ring = ctx.ring
+    nonzero = ~(1 << ring.zero)
+    for a, ann in enumerate(ring.ann_masks):
+        if a != ring.zero:
+            for b in bits(ann & nonzero):
+                yield a, b
+
+
+# the ring as the only member: its test's detail is the whole witness
+RING = Family(lambda ctx: [(ctx.ring, None)], lambda ring, subject, detail: detail)
 UNIVERSE = Family(
     lambda ctx: ((i, i.mask) for i in ctx.ideal_universe[0]),
     _named_ideal,
@@ -514,6 +547,20 @@ KERNELS_AT_PRIMES = _spectrum_family("primes", _kernel_mask, _kernel_witness)
 KERNELS_AT_MINIMALS = _spectrum_family("minimal", _kernel_mask, _kernel_witness)
 LOCAL_AT_PRIMES = _spectrum_family("primes", lambda ctx, p: ctx.localization(p))
 LOCAL_AT_MAXIMALS = _spectrum_family("maximal", lambda ctx, p: ctx.localization(p))
+NESTED_PRIMES = Family(
+    _nested_primes,
+    lambda p, q, detail: {"lower": list(p.elems), "upper": list(q.elems), **detail},
+)
+ZERO_DIVISOR_PAIRS = Family(_zero_divisor_pairs, lambda a, b, detail: {"pair": [a, b]})
+
+
+def _first_failure(ctx: RingContext, family: Family, test) -> dict | None:
+    """The family's witness of the first member failing the test, or None."""
+    for member, subject in family.members(ctx):
+        detail = test(ctx, member, subject)
+        if detail is not None:
+            return family.witness(member, subject, detail)
+    return None
 
 
 def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext], Verdict]]:
@@ -521,11 +568,10 @@ def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext]
 
     def route(ctx: RingContext) -> Verdict:
         passed, sampled = family.summary(ctx)
-        for member, subject in family.members(ctx):
-            detail = test(ctx, member, subject)
-            if detail is not None:
-                return Verdict(method, False, family.witness(member, subject, detail), sampled)
-        return Verdict(method, True, passed, sampled)
+        failure = _first_failure(ctx, family, test)
+        if failure is None:
+            return Verdict(method, True, passed, sampled)
+        return Verdict(method, False, failure, sampled)
 
     return method, route
 
@@ -593,50 +639,44 @@ def _local_primary(ctx: RingContext, p: Ideal, loc: FiniteRing) -> dict | None:
     return _primary_pair(zero_ideal(loc), "local_pair")
 
 
-# -- ring-level deciders outside the families ------------------------------
+def _nested_differ(same: Callable[[RingContext, Ideal], int]):
+    """The test of a nested pair p <= q that fails when same(ctx, .) tells
+    p and q apart."""
+    return lambda ctx, p, q: None if same(ctx, p) == same(ctx, q) else {}
 
 
-def _choice_route(method: str, choose: Callable[[FiniteRing, int], int | None],
-                  named=lambda ring, a: {}):
-    """For every element a, choose(ring, a) finds its smallest witness, or None
-    when there is none; named(ring, a) adds to the witness of a failure."""
-
-    def route(ctx: RingContext) -> Verdict:
-        ring = ctx.ring
-        choices = []
-        for a in range(ring.order):
-            found = choose(ring, a)
-            if found is None:
-                return Verdict(method, False, {"element": a, **named(ring, a)})
-            choices.append([a, found])
-        return Verdict(method, True, {"choices": choices})
-
-    return method, route
-
-
-def _square_factor(ring: FiniteRing, a: int) -> int | None:
-    """The smallest b with a = a^2 b."""
-    row = ring.mul_rows[ring.mul_rows[a][a]]
-    return row.index(a) if a in row else None
+def _cover(ring: FiniteRing, a: int, b: int, both_powers: bool) -> dict | None:
+    """None when Ann(a^n) + Ann(b^n) = R for some shared n (both_powers), or
+    Ann(a) + Ann(b^n) = R for some n."""
+    t = ring.ann_stable[b][0]
+    if both_powers:
+        t = max(ring.ann_stable[a][0], t)
+    mul = ring.mul_rows
+    pa, pb = a, b
+    for _ in range(t):
+        if _mask_sum_has_one(ring, ring.ann_masks[pa], ring.ann_masks[pb])[0]:
+            return None
+        if both_powers:
+            pa = mul[pa][a]
+        pb = mul[pb][b]
+    return {}
 
 
-def _pure_annihilator_power(ring: FiniteRing, a: int) -> int | None:
-    """The smallest n with Ann(a^n) pure."""
-    power = a
-    for n in range(1, ring.ann_stable[a][0] + 1):
-        if _is_pure(ring, ring.ann_masks[power]):
-            return n
-        power = ring.mul_rows[power][a]
-    return None
+def _power_cover(ctx: RingContext, a: int, b: int) -> dict | None:
+    # the condition is symmetric: each pair is tried once, with b >= a
+    return None if b < a else _cover(ctx.ring, a, b, both_powers=True)
 
 
-def _idempotent_generator(ring: FiniteRing, a: int) -> int | None:
-    """The smallest idempotent e with Re = Ann(a)."""
-    ann = ring.ann_masks[a]
-    return next((e for e in ring.idempotents if ring.principal_masks[e] == ann), None)
+def _mixed_cover(ctx: RingContext, a: int, b: int) -> dict | None:
+    return _cover(ctx.ring, a, b, both_powers=False)
 
 
-def _spectra_difference(ctx: RingContext) -> dict | None:
+def _set_difference(left: int, right: int) -> dict | None:
+    """None when two element sets coincide, else the smallest element of one only."""
+    return None if left == right else {"element": next(bits(left ^ right))}
+
+
+def _spectra_difference(ctx: RingContext, ring: FiniteRing, subject) -> dict | None:
     """None when Spec = Spp, else both lists."""
     spp_masks = sorted(p.mask for p in ctx.pure_spectrum.members)
     spec_masks = sorted(p.mask for p in ctx.spectrum.primes)
@@ -648,58 +688,7 @@ def _spectra_difference(ctx: RingContext) -> dict | None:
     }
 
 
-def _nested_route(method: str, differ: Callable[[RingContext, Ideal, Ideal], bool]):
-    """No primes p <= q (p = q included) for which differ(ctx, p, q) holds."""
-
-    def route(ctx: RingContext) -> Verdict:
-        primes = ctx.spectrum.primes
-        for p in primes:
-            for q in primes:
-                if q.contains_ideal(p) and differ(ctx, p, q):
-                    return Verdict(
-                        method, False, {"lower": list(p.elems), "upper": list(q.elems)}
-                    )
-        return Verdict(method, True)
-
-    return method, route
-
-
-def _zero_divisor_pairs(ring: FiniteRing):
-    nonzero = ~(1 << ring.zero)
-    for a, ann in enumerate(ring.ann_masks):
-        if a != ring.zero:
-            for b in bits(ann & nonzero):
-                yield a, b
-
-
-def _cover_route(method: str, both_powers: bool):
-    """ab = 0 implies Ann(a^n) + Ann(b^n) = R for some shared n (both_powers),
-    or Ann(a) + Ann(b^n) = R for some n."""
-
-    def route(ctx: RingContext) -> Verdict:
-        ring = ctx.ring
-        mul = ring.mul_rows
-        for a, b in _zero_divisor_pairs(ring):
-            if both_powers and b < a:
-                continue  # symmetric condition
-            t = ring.ann_stable[b][0]
-            if both_powers:
-                t = max(ring.ann_stable[a][0], t)
-            pa, pb = a, b
-            for _ in range(t):
-                if _mask_sum_has_one(ring, ring.ann_masks[pa], ring.ann_masks[pb])[0]:
-                    break
-                if both_powers:
-                    pa = mul[pa][a]
-                pb = mul[pb][b]
-            else:
-                return Verdict(method, False, {"pair": [a, b]})
-        return Verdict(method, True)
-
-    return method, route
-
-
-def _npure_primes_difference(ctx: RingContext) -> dict | None:
+def _npure_primes_difference(ctx: RingContext, ring: FiniteRing, subject) -> dict | None:
     """None when the N-pure primes are exactly the minimal ones.
 
     N-pure forces minimal unconditionally; minimal forces N-pure under the
@@ -712,19 +701,41 @@ def _npure_primes_difference(ctx: RingContext) -> dict | None:
     return {"difference": [list(bits(m)) for m in sorted(got ^ want)]}
 
 
-def _ring_route(method: str, check: Callable[[RingContext], dict | None]):
-    """A route on the whole ring: check(ctx) is None or the failure witness."""
+# -- choice maps and composites -------------------------------------------
+
+
+def _choice_route(method: str, choose: Callable[[FiniteRing, int], list | None],
+                  named=lambda ring, a: {}):
+    """The route that maps every element a to its smallest witness
+    choose(ring, a); named(ring, a) adds to the witness of a failure."""
 
     def route(ctx: RingContext) -> Verdict:
-        failure = check(ctx)
-        return Verdict(method, failure is None, failure)
+        ring = ctx.ring
+        return _choices(method, range(ring.order), partial(choose, ring), partial(named, ring))
 
     return method, route
 
 
-def _set_difference(left: int, right: int) -> dict | None:
-    """None when two element sets coincide, else the smallest element of one only."""
-    return None if left == right else {"element": next(bits(left ^ right))}
+def _square_factor(ring: FiniteRing, a: int) -> list | None:
+    """The smallest b with a = a^2 b."""
+    row = ring.mul_rows[ring.mul_rows[a][a]]
+    return [row.index(a)] if a in row else None
+
+
+def _pure_annihilator_power(ring: FiniteRing, a: int) -> list | None:
+    """The smallest n with Ann(a^n) pure."""
+    power = a
+    for n in range(1, ring.ann_stable[a][0] + 1):
+        if _is_pure(ring, ring.ann_masks[power]):
+            return [n]
+        power = ring.mul_rows[power][a]
+    return None
+
+
+def _idempotent_generator(ring: FiniteRing, a: int) -> list | None:
+    """The smallest idempotent e with Re = Ann(a)."""
+    ann = ring.ann_masks[a]
+    return next(([e] for e in ring.idempotents if ring.principal_masks[e] == ann), None)
 
 
 def _pp_composite(method: str, part: str, decide: str):
@@ -746,22 +757,18 @@ def _pp_composite(method: str, part: str, decide: str):
 
 PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     "reduced": [
-        _ring_route(
-            "no_nilpotents", lambda ctx: _set_difference(ctx.ring.nil_mask, 1 << ctx.ring.zero)
-        ),
+        _row("no_nilpotents", RING,
+             lambda ctx, ring, _: _set_difference(ring.nil_mask, 1 << ring.zero)),
         _row("npure_equals_pure_ideals", LATTICE, _scans_agree),
     ],
     "semiprimitive": [
-        _ring_route(
-            "zero_jacobson", lambda ctx: _set_difference(ctx.jacobson.mask, 1 << ctx.ring.zero)
-        ),
+        _row("zero_jacobson", RING,
+             lambda ctx, ring, _: _set_difference(ctx.jacobson.mask, 1 << ring.zero)),
         _row("jacobson_pure", JACOBSON, _pure),
     ],
     "nj_ring": [
-        _ring_route(
-            "nil_equals_jacobson",
-            lambda ctx: _set_difference(ctx.jacobson.mask, ctx.ring.nil_mask),
-        ),
+        _row("nil_equals_jacobson", RING,
+             lambda ctx, ring, _: _set_difference(ctx.jacobson.mask, ring.nil_mask)),
         _row("jacobson_npure", JACOBSON, _npure),
     ],
     "von_neumann_regular": [
@@ -771,10 +778,10 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
         _row("maximal_ideals_pure", MAXIMAL, _pure),
         _row("kernel_equals_maximal", MAXIMAL, _kernel_is_prime),
         _row("localizations_semiprimitive", LOCAL_AT_PRIMES, _local_semiprimitive),
-        _ring_route("spectrum_equals_pure_spectrum", _spectra_difference),
+        _row("spectrum_equals_pure_spectrum", RING, _spectra_difference),
     ],
     "zero_dimensional": [
-        _nested_route("no_prime_chain", lambda ctx, p, q: p.mask != q.mask),
+        _row("no_prime_chain", NESTED_PRIMES, _nested_differ(lambda ctx, p: p.mask)),
         _row("all_ideals_npure", UNIVERSE, _npure),
         _row("principal_ideals_npure", PRINCIPAL, _npure),
         _row("maximal_ideals_npure", MAXIMAL, _npure),
@@ -784,28 +791,26 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     ],
     "mp_ring": [
         _row("unique_minimal_below", PRIMES, _one_minimal_below),
-        _cover_route("zero_divisor_power_cover", both_powers=True),
+        _row("zero_divisor_power_cover", ZERO_DIVISOR_PAIRS, _power_cover),
         _row("minimal_primes_npure", MINIMAL, _npure),
         _row("minimal_kernels_npure", KERNELS_AT_MINIMALS, _npure),
         _row("all_kernels_npure", KERNELS_AT_PRIMES, _npure),
     ],
     "mid_ring": [
         _row("annihilators_npure", ANNIHILATORS, _npure),
-        _cover_route("zero_divisor_mixed_cover", both_powers=False),
+        _row("zero_divisor_mixed_cover", ZERO_DIVISOR_PAIRS, _mixed_cover),
         _row("localizations_primary_at_primes", LOCAL_AT_PRIMES, _local_primary),
         _row("localizations_primary_at_maximals", LOCAL_AT_MAXIMALS, _local_primary),
         _row("kernels_pure_at_primes", KERNELS_AT_PRIMES, _pure),
         _row("kernels_pure_at_minimals", KERNELS_AT_MINIMALS, _pure),
-        _nested_route(
-            "kernels_equal_when_nested",
-            lambda ctx, p, q: ctx.kernel(p).mask != ctx.kernel(q).mask,
-        ),
+        _row("kernels_equal_when_nested", NESTED_PRIMES, _nested_differ(_kernel_mask)),
         _row("kernels_primary_at_primes", PRIMES, _kernel_primary),
         _row("kernels_primary_at_maximals", MAXIMAL, _kernel_primary),
-        _ring_route("minimal_primes_exactly_npure", _npure_primes_difference),
+        _row("minimal_primes_exactly_npure", RING, _npure_primes_difference),
     ],
     "primary_ring": [
-        _ring_route("zero_ideal_primary", lambda ctx: _primary_pair(zero_ideal(ctx.ring), "pair"))
+        _row("zero_ideal_primary", RING,
+             lambda ctx, ring, _: _primary_pair(zero_ideal(ring), "pair"))
     ],
     "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, _pure)],
     "gpf_ring": [_choice_route("annihilator_power_pure", _pure_annihilator_power)],
@@ -913,19 +918,12 @@ def _reduced_iff_families_coincide(ctx: RingContext, props) -> dict | None:
     return detail if families.value else {**detail, "ideal": families.witness["ideal"]}
 
 
-def _powers_npure(ctx: RingContext, props) -> dict | None:
+def _powers_npure(ctx: RingContext, i: Ideal, mask: int) -> dict | None:
     """N-pure exactly when every power is N-pure."""
-    ring = ctx.ring
-    for i in ctx.lattice:
-        base = _is_npure(ring, i.mask)
-        current = i
-        while True:
-            if _is_npure(ring, current.mask) != base:
-                return {"ideal": list(i.elems), "power": list(current.elems)}
-            nxt = ideal_product(current, i)
-            if nxt.mask == current.mask:
-                break
-            current = nxt
+    base = _is_npure(ctx.ring, mask)
+    for power in _power_chain(i):
+        if _is_npure(ctx.ring, power.mask) != base:
+            return {"power": list(power.elems)}
     return None
 
 
@@ -943,30 +941,24 @@ def _npure_closure(ctx: RingContext, props) -> dict | None:
     return None
 
 
-def _power_intersection_npure(ctx: RingContext, props) -> dict | None:
+def _power_intersection_npure(ctx: RingContext, i: Ideal, mask: int) -> dict | None:
     """R x^n meet I = x^n I for all x forces N-purity."""
-    for i in ctx.lattice:
-        if power_intersection_hypothesis(i)[0] and not _is_npure(ctx.ring, i.mask):
-            return {"ideal": list(i.elems)}
+    if power_intersection_hypothesis(i)[0] and not _is_npure(ctx.ring, mask):
+        return {}
     return None
 
 
-def _radical_formula_tracks(ctx: RingContext, props) -> dict | None:
+def _radical_formula_tracks(ctx: RingContext, i: Ideal, mask: int) -> dict | None:
     """The annihilator-complement set is the radical exactly for N-pure ideals."""
-    for i in ctx.lattice:
-        matches = _radical_formula_mask(ctx, i) == radical(i).mask
-        if matches != _is_npure(ctx.ring, i.mask):
-            return {"ideal": list(i.elems), "formula_matches_radical": matches}
-    return None
+    matches = _radical_formula_mask(ctx, i) == radical(i).mask
+    return None if matches == _is_npure(ctx.ring, mask) else {"formula_matches_radical": matches}
 
 
-def _unique_pure_core(ctx: RingContext, props) -> dict | None:
-    for i in ctx.lattice:
-        if _is_npure(ctx.ring, i.mask):
-            count = len(ctx.pure_cores.get(radical(i).mask, []))
-            if count != 1:
-                return {"ideal": list(i.elems), "count": count}
-    return None
+def _unique_pure_core(ctx: RingContext, i: Ideal, mask: int) -> dict | None:
+    if not _is_npure(ctx.ring, mask):
+        return None
+    count = len(ctx.pure_cores.get(radical(i).mask, []))
+    return None if count == 1 else {"count": count}
 
 
 def _minimal_kernels(ctx: RingContext, props) -> dict | None:
@@ -1051,6 +1043,11 @@ def _pp_iff(via: str):
     return body
 
 
+def _scan(family: Family, test):
+    """The check that every member of a family passes the test."""
+    return lambda ctx, props: _first_failure(ctx, family, test)
+
+
 _LATTICE_BOUND = attrgetter("lattice")
 
 
@@ -1065,11 +1062,12 @@ def _pair_bound(bounds: Bounds) -> int:
 THEOREM_CHECKS = [
     ("pure_ideals_are_npure", _LATTICE_BOUND, None, _pure_ideals_npure),
     ("reduced_iff_npure_equals_pure", _LATTICE_BOUND, None, _reduced_iff_families_coincide),
-    ("npure_iff_every_power_npure", _pair_bound, None, _powers_npure),
+    ("npure_iff_every_power_npure", _pair_bound, None, _scan(LATTICE, _powers_npure)),
     ("npure_closed_under_sum_product_intersection", _pair_bound, None, _npure_closure),
-    ("power_intersection_implies_npure", _pair_bound, None, _power_intersection_npure),
-    ("radical_formula_tracks_npure", _pair_bound, None, _radical_formula_tracks),
-    ("unique_pure_core", _LATTICE_BOUND, None, _unique_pure_core),
+    ("power_intersection_implies_npure", _pair_bound, None,
+     _scan(LATTICE, _power_intersection_npure)),
+    ("radical_formula_tracks_npure", _pair_bound, None, _scan(LATTICE, _radical_formula_tracks)),
+    ("unique_pure_core", _LATTICE_BOUND, None, _scan(LATTICE, _unique_pure_core)),
     ("minimal_kernel_radical_recovers_prime", _LATTICE_BOUND, None, _minimal_kernels),
     ("vnr_iff_spectra_coincide", lambda b: min(b.spp, b.lattice), None,
      _vnr_iff_spectra_coincide),

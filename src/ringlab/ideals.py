@@ -152,25 +152,24 @@ def _purity_scan(ring: FiniteRing, mask: int, nil: bool) -> tuple[bool, list[lis
     return got
 
 
-def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
-    """I^n together with the stabilization index of the power chain.
+def _power_chain(i: Ideal) -> list[Ideal]:
+    """I, I^2, ..., I^k for the first k with I^k = I^(k+1).
 
-    The chain I >= I^2 >= ... strictly decreases until the first k with
-    I^k = I^(k+1) and is constant afterwards, so it is computed to that
-    point (at most |I| products) and I^n read off it.
+    The chain I >= I^2 >= ... strictly decreases to that point and is
+    constant afterwards, so it takes at most |I| products.
     """
+    chain = [i]
+    while (nxt := ideal_product(chain[-1], i)).mask != chain[-1].mask:
+        chain.append(nxt)
+    return chain
+
+
+def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
+    """I^n together with the stabilization index of the power chain."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    chain = [i]
-    current = i
-    while True:
-        nxt = ideal_product(current, i)
-        if nxt.mask == current.mask:
-            break
-        current = nxt
-        chain.append(current)
-    stabilized = len(chain)
-    return chain[min(n, stabilized) - 1], stabilized
+    chain = _power_chain(i)
+    return chain[min(n, len(chain)) - 1], len(chain)
 
 
 def radical(i: Ideal) -> Ideal:

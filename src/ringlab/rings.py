@@ -511,9 +511,6 @@ class FiniteRing:
     def element(self, index: int) -> Element:
         return Element(self, index)
 
-    def elements(self) -> Iterator[Element]:
-        return (Element(self, i) for i in range(self.order))
-
     def _idx(self, a: Element | int) -> int:
         if isinstance(a, Element):
             if a.ring is not self:

@@ -332,7 +332,8 @@ def test_context_enforces_element_bound():
 def test_classify_ring_report_shape():
     report = classify_ring(build(Zmod(12)))
     assert set(report.properties) == set(PROPERTY_ORDER)
-    assert report.consistent
+    assert all(p.consistent for p in report.properties.values())
+    assert all(ic.npure.consistent for ic in report.ideal_results)
     assert len(report.ideal_results) == 6
     assert report.theorem_checks
     assert all(c.status in ("pass", "skipped") for c in report.theorem_checks)
