@@ -28,9 +28,9 @@ from ringlab.classify import (
     verify_theorems,
 )
 from ringlab.ideals import Ideal, ideal_from_generators, radical
-from ringlab.rings import build
+from ringlab.rings import bits, build
 from ringlab.spectra import Spectrum
-from ringlab.specs import Product, Zmod
+from ringlab.specs import PolyQuot, Product, Zmod
 
 
 def _route(method: str):
@@ -478,3 +478,239 @@ def test_minimal_kernels_check_names_each_branch():
         "prime": list(ideal_from_generators(ctx.ring, [6]).elems),
         "kernel_not_primary": True,
     }
+
+
+# -- witnesses of the element-level tests, against per-element loops --------
+
+WITNESS_RINGS = [
+    Zmod(12),
+    Zmod(72),
+    Product((Zmod(8), Zmod(2))),
+    PolyQuot(2, (0, 0, 0, 1)),  # GF(2)[x]/(x^3)
+    Product((Zmod(4), Zmod(4))),
+]
+
+
+def _plain_ann(ring, x) -> int:
+    return sum(1 << y for y in range(ring.order) if ring.mul_rows[x][y] == ring.zero)
+
+
+def _plain_chain(ring, a) -> list[int]:
+    """Ann(a), Ann(a^2), ... up to the first term equal to the next one."""
+    chain, power = [_plain_ann(ring, a)], a
+    while (nxt := _plain_ann(ring, power := ring.mul_rows[power][a])) != chain[-1]:
+        chain.append(nxt)
+    return chain
+
+
+def _outcome(verdict: Verdict) -> tuple:
+    return verdict.method, verdict.value, verdict.witness
+
+
+def _distinct(masks) -> list[int]:
+    return list(dict.fromkeys(masks))
+
+
+def _reference_cover(ring, method: str, chains) -> tuple:
+    """The first zero-divisor pair (a, b), in (a, b) order, without a cover;
+    the power cover skips b < a.  Reads classify._mask_sum_has_one."""
+    has_one = classify._mask_sum_has_one
+    for a in range(1, ring.order):
+        for b in range(1, ring.order):
+            if ring.mul_rows[a][b] != ring.zero:
+                continue
+            ca, cb = chains[a], chains[b]
+            if method == "zero_divisor_power_cover":
+                if b < a:
+                    continue
+                terms = [(ca[min(k, len(ca) - 1)], cb[min(k, len(cb) - 1)])
+                         for k in range(max(len(ca), len(cb)))]
+            else:
+                terms = [(ca[0], m) for m in cb]
+            if not any(has_one(ring, x, y)[0] for x, y in terms):
+                return method, False, {"pair": [a, b]}
+    return method, True, None
+
+
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+@pytest.mark.parametrize("first_only", [False, True], ids=["either", "first"])
+@pytest.mark.parametrize("method", ["zero_divisor_power_cover", "zero_divisor_mixed_cover"])
+def test_cover_witnesses_match_the_pair_loop(monkeypatch, spec, first_only, method):
+    # deny every cover whose first (or either) summand is one annihilator,
+    # each distinct annihilator in turn
+    ring = build(spec)
+    chains = [_plain_chain(ring, a) for a in range(ring.order)]
+    real = classify._mask_sum_has_one
+    failed = 0
+    for denied in _distinct(_plain_ann(ring, a) for a in range(ring.order)):
+        def denying(r, m1, m2, denied=denied):
+            if m1 == denied or (not first_only and m2 == denied):
+                return False, None
+            return real(r, m1, m2)
+
+        monkeypatch.setattr(classify, "_mask_sum_has_one", denying)
+        got = _outcome(_route(method)(RingContext(ring)))
+        assert got == _reference_cover(ring, method, chains), (denied, got)
+        failed += got[1] is False
+    assert failed
+
+
+FAMILY_ROUTES = {
+    # route -> (per-element masks, nil, the witness of a failure at a)
+    "annihilators_npure": (
+        "ann_masks", True, lambda a, mask, e: {"element": a, "ann_element": e}),
+    "annihilators_pure": (
+        "ann_masks", False,
+        lambda a, mask, e: {"element": a, "ann": list(bits(mask)), "ann_element": e}),
+    "principal_ideals_npure": (
+        "principal_masks", True, lambda a, mask, e: {"generator": a, "element": e}),
+    "principal_ideals_pure": (
+        "principal_masks", False, lambda a, mask, e: {"generator": a, "element": e}),
+}
+
+
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+@pytest.mark.parametrize("method", sorted(FAMILY_ROUTES))
+def test_family_witnesses_name_the_first_element_of_a_mask(monkeypatch, spec, method):
+    # the scan rejects one chosen mask, each distinct mask in turn
+    ring = build(spec)
+    attr, nil, witness = FAMILY_ROUTES[method]
+    masks = getattr(ring, attr)
+    real = classify._purity_scan
+    for chosen in _distinct(masks):
+        def rejecting(r, mask, nil, chosen=chosen):
+            return (False, next(bits(mask))) if mask == chosen else real(r, mask, nil)
+
+        monkeypatch.setattr(classify, "_purity_scan", rejecting)
+        expected = (method, True, None)
+        for a, mask in enumerate(masks):
+            ok, data = rejecting(ring, mask, nil)
+            if not ok:
+                expected = (method, False, witness(a, mask, data))
+                break
+        got = _outcome(_route(method)(RingContext(ring)))
+        assert got == expected, chosen
+        if nil:  # no N-purity scan fails on a finite ring
+            assert got[2][list(got[2])[0]] == masks.index(chosen)
+
+
+def _reference_choices(method, ring, choose, named=lambda a: {}, **passed) -> tuple:
+    choices = []
+    for a in range(ring.order):
+        found = choose(a)
+        if found is None:
+            return method, False, {"element": a, **named(a)}
+        choices.append([a, *found])
+    return method, True, {"choices": choices, **passed}
+
+
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+def test_annihilator_power_pure_matches_the_element_loop(monkeypatch, spec):
+    ring = build(spec)
+    chains = [_plain_chain(ring, a) for a in range(ring.order)]
+    real = classify._purity_scan
+
+    def first_pure(a):
+        n = next((n for n, m in enumerate(chains[a], 1)
+                  if classify._purity_scan(ring, m, nil=False)[0]), None)
+        return None if n is None else [n]
+
+    # unpatched, then with the scan rejecting each distinct annihilator
+    failed = 0
+    for chosen in [None, *_distinct(_plain_ann(ring, a) for a in range(ring.order))]:
+        def rejecting(r, mask, nil, chosen=chosen):
+            return (False, next(bits(mask))) if mask == chosen else real(r, mask, nil)
+
+        monkeypatch.setattr(classify, "_purity_scan", rejecting)
+        got = _outcome(_route("annihilator_power_pure")(RingContext(ring)))
+        assert got == _reference_choices("annihilator_power_pure", ring, first_pure), chosen
+        failed += got[1] is False
+    assert failed
+
+
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+def test_idempotent_generated_annihilators_match_the_element_loop(spec):
+    ring = build(spec)
+    idempotents = [e for e in range(ring.order) if ring.mul_rows[e][e] == e]
+
+    def generator(a):
+        ann = _plain_ann(ring, a)
+        principal = [sum(1 << v for v in set(ring.mul_rows[e])) for e in idempotents]
+        return next(([e] for e, m in zip(idempotents, principal) if m == ann), None)
+
+    got = _outcome(_route("annihilators_idempotent_generated")(RingContext(ring)))
+    assert got == _reference_choices(
+        "annihilators_idempotent_generated", ring, generator,
+        lambda a: {"ann": list(bits(_plain_ann(ring, a)))},
+    )
+
+
+def _reference_battery(ring, ideal, chains) -> dict[str, tuple]:
+    """ann_complement, witness_power and radical_formula, one element at a
+    time.  Reads classify._mask_sum_has_one."""
+    has_one = classify._mask_sum_has_one
+    mask, elems = ideal.mask, list(bits(ideal.mask))
+    got = {}
+    choices = []
+    for a in elems:
+        found = next(([t, *pair] for t, m in enumerate(chains[a], 1)
+                      for ok, pair in [has_one(ring, m, mask)] if ok), None)
+        if found is None:
+            got["ann_complement"] = ("ann_complement", False, {"element": a})
+            break
+        choices.append([a, *found])
+    else:
+        got["ann_complement"] = ("ann_complement", True,
+                                 {"choices": choices, "fields": ["a", "t", "u", "v"]})
+    choices = []
+    for a in elems:
+        ok, pair = has_one(ring, mask, chains[a][-1])
+        if not ok:
+            got["witness_power"] = ("witness_power", False, {"element": a})
+            break
+        n, power = 1, a
+        while ring.mul_rows[power][pair[1]] != ring.zero:
+            n, power = n + 1, ring.mul_rows[power][a]
+        choices.append([a, pair[0], n])
+    else:
+        got["witness_power"] = ("witness_power", True, {"choices": choices})
+    formula = sum(1 << a for a in range(ring.order) if has_one(ring, chains[a][-1], mask)[0])
+    rad = 0
+    for a in range(ring.order):
+        power = a
+        for _ in range(ring.order):
+            if (mask >> power) & 1:
+                rad |= 1 << a
+                break
+            power = ring.mul_rows[power][a]
+    if formula == rad:
+        got["radical_formula"] = ("radical_formula", True, {"radical": list(bits(rad))})
+    else:
+        elem = next(bits(formula ^ rad))
+        side = "formula_only" if (formula >> elem) & 1 else "radical_only"
+        got["radical_formula"] = ("radical_formula", False, {"element": elem, "side": side})
+    return got
+
+
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+def test_battery_choice_routes_match_the_element_loop(monkeypatch, spec):
+    ring = build(spec)
+    chains = [_plain_chain(ring, a) for a in range(ring.order)]
+    universe = RingContext(ring).ideal_universe[0]
+    real = classify._mask_sum_has_one
+    failed = Counter()
+    # unpatched, then with every cover by each distinct annihilator denied
+    for denied in [None, *_distinct(_plain_ann(ring, a) for a in range(ring.order))]:
+        def denying(r, m1, m2, denied=denied):
+            return (False, None) if denied in (m1, m2) else real(r, m1, m2)
+
+        monkeypatch.setattr(classify, "_mask_sum_has_one", denying)
+        ctx = RingContext(ring)
+        for ideal in universe:
+            expected = _reference_battery(ring, ideal, chains)
+            for method, want in expected.items():
+                got = _outcome(NPURE_METHODS[method](ctx, ideal))
+                assert got == want, (denied, ideal.elems)
+                failed[method] += got[1] is False
+    assert set(failed) == {"ann_complement", "witness_power", "radical_formula"}
+    assert all(failed.values())
