@@ -12,8 +12,9 @@ The ring-level routes of PROPERTY_METHODS come in three shapes:
     first-failure scan  ``_row(method, family, test)``: one loop applies the
                         test to each member of the family (the ring itself,
                         ideals, annihilators, primes with their kernels and
-                        localizations, nested prime pairs, zero-divisor
-                        pairs) and reports the first failure
+                        localizations, nested prime pairs, nonzero
+                        elements with a cover partner) and reports the
+                        first failure
     choice map          ``_choice_route``: the smallest witness of every
                         element, or the first element without one
     p.p. composite      ``_pp_composite``: two other routes' verdicts
@@ -41,10 +42,14 @@ are choice maps over the ideal's elements:
     mod_nil         the image of I in R/nilradical is pure
     finite_subset   simultaneous witness for every subset of size <= 3
 
-Existential exponent searches are bounded by annihilator-chain
-stabilization (at most log2 N strict steps), which is sound for finite
-rings.  Witness tie-breaking always picks the lexicographically smallest
-(a, b, n), so reports are deterministic.
+Existential exponent searches read the annihilator chain Ann(a) <= Ann(a^2)
+<= ... (at most log2 N strict steps).  A test that reads an element only
+through such data runs once per class of elements sharing it: per distinct
+mask (annihilator and principal-ideal scans), per pair of chain classes
+(the covers), per chain (Gpf, witness_power, ann_complement), per Ann(a)
+(p.p.) or per stable Ann(a^oo) (radical_formula).  The first failing
+element is the first member of the first failing class, so witnesses stay
+the lexicographically smallest (a, b, n), and reports are deterministic.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from itertools import combinations
-from operator import and_, attrgetter
+from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from . import specs
@@ -156,9 +161,9 @@ class RingContext:
     """Per-ring owner of every derived structure and ring-level verdict.
 
     Lattice, spectrum, pure ideals, pure spectrum, pure cores (radical mask
-    -> the pure ideals with that radical), reduction, Jacobson radical and
-    ideal universe are cached properties.  The lattice is enumerated here
-    only, and the spectrum, pure ideals and Jacobson radical derive from it.
+    -> the pure ideals with that radical), reduction, Jacobson radical,
+    ideal universe and the element classes (by annihilator chain, by stable
+    annihilator) are cached properties.  The lattice is enumerated here only.
     Kernels and localizations are kept per prime, and verdict(method)
     decides each ring-level route once for every reader.
     """
@@ -173,6 +178,8 @@ class RingContext:
         self._kernels: dict[int, Ideal] = {}
         self._localizations: dict[int, FiniteRing] = {}
         self._verdicts: dict[str, Verdict] = {}
+        # (both_powers, chain) -> the mask of _failing_partners
+        self._covers: dict[tuple, int] = {}
 
     @cached_property
     def lattice(self) -> list[Ideal]:
@@ -201,6 +208,16 @@ class RingContext:
         for j in self.pure_list:
             cores.setdefault(radical(j).mask, []).append(j)
         return cores
+
+    @cached_property
+    def chain_classes(self) -> dict[tuple[int, ...], int]:
+        """Annihilator chain -> the mask of the elements with that chain."""
+        return _classes(self.ring.ann_chains)
+
+    @cached_property
+    def stable_classes(self) -> dict[int, int]:
+        """Stable annihilator Ann(a^oo) -> the mask of the elements with it."""
+        return _classes(chain[-1] for chain in self.ring.ann_chains)
 
     def kernel(self, p: Ideal) -> Ideal:
         got = self._kernels.get(p.mask)
@@ -290,14 +307,32 @@ def _mask_sum_has_one(ring: FiniteRing, m1: int, m2: int) -> tuple[bool, tuple[i
     return True, (u, ring.one_minus[u])
 
 
+def _classes(keys: Iterable) -> dict:
+    """Each distinct key -> the mask of the elements a with key keys[a], in
+    the order of the classes' first elements."""
+    classes: dict = {}
+    for a, k in enumerate(keys):
+        classes[k] = classes.get(k, 0) | 1 << a
+    return classes
+
+
+def _first_of_each(masks: list[int]) -> list[tuple[int, int]]:
+    """(a, mask) for each distinct mask of the list, a the first element with
+    it, in the order of a: read backwards, a mask's last entry is its first."""
+    first = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+    return sorted((a, m) for m, a in first.items())
+
+
 def _choices(method: str, elems: Iterable[int], choose: Callable[[int], list | None],
-             named=lambda a: {}, **passed) -> Verdict:
+             named=lambda a: {}, keys: list | None = None, **passed) -> Verdict:
     """For every a in elems, choose(a) lists the smallest witness of a, or is
     None when there is none; named(a) adds to the witness of a failure, and
-    passed to the witness of a pass."""
+    passed to the witness of a pass.  With keys, choose runs once per keys[a]."""
     choices = []
+    known: dict = {}
     for a in elems:
-        found = choose(a)
+        k = a if keys is None else keys[a]
+        found = known[k] if k in known else known.setdefault(k, choose(a))
         if found is None:
             return Verdict(method, False, {"element": a, **named(a)})
         choices.append([a, *found])
@@ -342,32 +377,28 @@ def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
         ok, pair = _mask_sum_has_one(ring, ideal.mask, ring.ann_stable[a][1])
         return [pair[0], _min_power_killing(ring, a, pair[1])] if ok else None
 
-    return _choices("witness_power", ideal.elems, choose)
+    return _choices("witness_power", ideal.elems, choose, keys=ring.ann_chains)
 
 
 def _npure_ann_complement(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
 
     def choose(a: int) -> list | None:
-        power = a
-        for t in range(1, ring.ann_stable[a][0] + 1):
-            ok, pair = _mask_sum_has_one(ring, ring.ann_masks[power], ideal.mask)
+        for t, ann in enumerate(ring.ann_chains[a], 1):
+            ok, pair = _mask_sum_has_one(ring, ann, ideal.mask)
             if ok:
                 return [t, *pair]
-            power = ring.mul_rows[power][a]
         return None
 
-    return _choices("ann_complement", ideal.elems, choose, fields=["a", "t", "u", "v"])
+    return _choices("ann_complement", ideal.elems, choose, keys=ring.ann_chains,
+                    fields=["a", "t", "u", "v"])
 
 
 def _radical_formula_mask(ctx: RingContext, ideal: Ideal) -> int:
-    """{a in R : exists n >= 1 with Ann(a^n) + I = R} as a bitmask."""
-    ring = ctx.ring
-    return mask_of(
-        a
-        for a, (_, stable) in enumerate(ring.ann_stable)
-        if _mask_sum_has_one(ring, stable, ideal.mask)[0]
-    )
+    """{a in R : exists n >= 1 with Ann(a^n) + I = R} as a bitmask: the
+    classes of the stable annihilators Ann(a^oo) with Ann(a^oo) + I = R."""
+    return reduce(or_, (members for stable, members in ctx.stable_classes.items()
+                        if _mask_sum_has_one(ctx.ring, stable, ideal.mask)[0]), 0)
 
 
 def _npure_radical_formula(ctx: RingContext, ideal: Ideal) -> Verdict:
@@ -503,16 +534,6 @@ def _nested_primes(ctx: RingContext):
     return ((p, q) for p in primes for q in primes if q.contains_ideal(p))
 
 
-def _zero_divisor_pairs(ctx: RingContext):
-    """The pairs (a, b) of nonzero elements with ab = 0."""
-    ring = ctx.ring
-    nonzero = ~(1 << ring.zero)
-    for a, ann in enumerate(ring.ann_masks):
-        if a != ring.zero:
-            for b in bits(ann & nonzero):
-                yield a, b
-
-
 # the ring as the only member: its test's detail is the whole witness
 RING = Family(lambda ctx: [(ctx.ring, None)], lambda ring, subject, detail: detail)
 UNIVERSE = Family(
@@ -521,12 +542,13 @@ UNIVERSE = Family(
     lambda ctx: ({"ideals_checked": len(ctx.ideal_universe[0])}, ctx.ideal_universe[1]),
 )
 LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice), _named_ideal)
+# each distinct principal ideal or annihilator once, with its first element
 PRINCIPAL = Family(
-    lambda ctx: enumerate(ctx.ring.principal_masks),
+    lambda ctx: _first_of_each(ctx.ring.principal_masks),
     lambda a, mask, detail: {"generator": a, **detail},
 )
 ANNIHILATORS = Family(
-    lambda ctx: enumerate(ctx.ring.ann_masks),
+    lambda ctx: _first_of_each(ctx.ring.ann_masks),
     lambda a, mask, detail: {"element": a, "ann_element": detail["element"]},
 )
 # the same members, with each failing annihilator listed in the witness
@@ -551,7 +573,10 @@ NESTED_PRIMES = Family(
     _nested_primes,
     lambda p, q, detail: {"lower": list(p.elems), "upper": list(q.elems), **detail},
 )
-ZERO_DIVISOR_PAIRS = Family(_zero_divisor_pairs, lambda a, b, detail: {"pair": [a, b]})
+# the nonzero elements with a failing cover partner, each with those partners;
+# a cover test's detail is the witness
+POWER_COVER = Family(lambda ctx: _cover_members(ctx, True), RING.witness)
+MIXED_COVER = Family(lambda ctx: _cover_members(ctx, False), RING.witness)
 
 
 def _first_failure(ctx: RingContext, family: Family, test) -> dict | None:
@@ -645,30 +670,45 @@ def _nested_differ(same: Callable[[RingContext, Ideal], int]):
     return lambda ctx, p, q: None if same(ctx, p) == same(ctx, q) else {}
 
 
-def _cover(ring: FiniteRing, a: int, b: int, both_powers: bool) -> dict | None:
-    """None when Ann(a^n) + Ann(b^n) = R for some shared n (both_powers), or
-    Ann(a) + Ann(b^n) = R for some n."""
-    t = ring.ann_stable[b][0]
+def _failing_partners(ctx: RingContext, ca: tuple, both_powers: bool) -> int:
+    """The nonzero b in Ann(a), for the a with chain ca, with no n giving
+    Ann(a^n) + Ann(b^n) = R (both_powers) or Ann(a) + Ann(b^n) = R; memoized,
+    and decided once per chain class of b, as it reads only the chains."""
+    key = (both_powers, ca)
+    if key not in ctx._covers:
+        ring, partners, failing = ctx.ring, ca[0] & ~(1 << ctx.ring.zero), 0
+        for cb, members in ctx.chain_classes.items():
+            # ab = 0 iff a is in Ann(b): a class lies in Ann(a) or outside it
+            if not members & partners:
+                continue
+            if both_powers:  # a chain's last term stands for all later powers
+                terms = zip(ca + ca[-1:] * (len(cb) - len(ca)), cb + cb[-1:] * (len(ca) - len(cb)))
+            else:
+                terms = ((ca[0], ann) for ann in cb)
+            if not any(_mask_sum_has_one(ring, x, y)[0] for x, y in terms):
+                failing |= members
+        ctx._covers[key] = failing
+    return ctx._covers[key]
+
+
+def _cover_members(ctx: RingContext, both_powers: bool):
+    """(a, its failing partners) for each nonzero a whose chain class has
+    any, ascending; every other nonzero a passes the cover test.  Zero is
+    alone in its class, the only a with Ann(a) = R."""
+    suspects = 0
+    for ca, members in ctx.chain_classes.items():
+        if members != 1 << ctx.ring.zero and _failing_partners(ctx, ca, both_powers):
+            suspects |= members
+    chains = ctx.ring.ann_chains
+    return ((a, _failing_partners(ctx, chains[a], both_powers)) for a in bits(suspects))
+
+
+def _cover(both_powers: bool, ctx: RingContext, a: int, failing: int) -> dict | None:
+    """The pair of a with its lowest failing partner b, b >= a for the power
+    cover: its condition is symmetric, so each pair is tried once."""
     if both_powers:
-        t = max(ring.ann_stable[a][0], t)
-    mul = ring.mul_rows
-    pa, pb = a, b
-    for _ in range(t):
-        if _mask_sum_has_one(ring, ring.ann_masks[pa], ring.ann_masks[pb])[0]:
-            return None
-        if both_powers:
-            pa = mul[pa][a]
-        pb = mul[pb][b]
-    return {}
-
-
-def _power_cover(ctx: RingContext, a: int, b: int) -> dict | None:
-    # the condition is symmetric: each pair is tried once, with b >= a
-    return None if b < a else _cover(ctx.ring, a, b, both_powers=True)
-
-
-def _mixed_cover(ctx: RingContext, a: int, b: int) -> dict | None:
-    return _cover(ctx.ring, a, b, both_powers=False)
+        failing &= -1 << a
+    return {"pair": [a, next(bits(failing))]} if failing else None
 
 
 def _set_difference(left: int, right: int) -> dict | None:
@@ -705,13 +745,15 @@ def _npure_primes_difference(ctx: RingContext, ring: FiniteRing, subject) -> dic
 
 
 def _choice_route(method: str, choose: Callable[[FiniteRing, int], list | None],
-                  named=lambda ring, a: {}):
+                  named=lambda ring, a: {}, keys: str | None = None):
     """The route that maps every element a to its smallest witness
-    choose(ring, a); named(ring, a) adds to the witness of a failure."""
+    choose(ring, a); named(ring, a) adds to the witness of a failure.  With
+    keys, choose reads a only through the ring's list of that name."""
 
     def route(ctx: RingContext) -> Verdict:
         ring = ctx.ring
-        return _choices(method, range(ring.order), partial(choose, ring), partial(named, ring))
+        return _choices(method, range(ring.order), partial(choose, ring), partial(named, ring),
+                        getattr(ring, keys) if keys else None)
 
     return method, route
 
@@ -724,12 +766,7 @@ def _square_factor(ring: FiniteRing, a: int) -> list | None:
 
 def _pure_annihilator_power(ring: FiniteRing, a: int) -> list | None:
     """The smallest n with Ann(a^n) pure."""
-    power = a
-    for n in range(1, ring.ann_stable[a][0] + 1):
-        if _is_pure(ring, ring.ann_masks[power]):
-            return [n]
-        power = ring.mul_rows[power][a]
-    return None
+    return next(([n] for n, ann in enumerate(ring.ann_chains[a], 1) if _is_pure(ring, ann)), None)
 
 
 def _idempotent_generator(ring: FiniteRing, a: int) -> list | None:
@@ -791,14 +828,14 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     ],
     "mp_ring": [
         _row("unique_minimal_below", PRIMES, _one_minimal_below),
-        _row("zero_divisor_power_cover", ZERO_DIVISOR_PAIRS, _power_cover),
+        _row("zero_divisor_power_cover", POWER_COVER, partial(_cover, True)),
         _row("minimal_primes_npure", MINIMAL, _npure),
         _row("minimal_kernels_npure", KERNELS_AT_MINIMALS, _npure),
         _row("all_kernels_npure", KERNELS_AT_PRIMES, _npure),
     ],
     "mid_ring": [
         _row("annihilators_npure", ANNIHILATORS, _npure),
-        _row("zero_divisor_mixed_cover", ZERO_DIVISOR_PAIRS, _mixed_cover),
+        _row("zero_divisor_mixed_cover", MIXED_COVER, partial(_cover, False)),
         _row("localizations_primary_at_primes", LOCAL_AT_PRIMES, _local_primary),
         _row("localizations_primary_at_maximals", LOCAL_AT_MAXIMALS, _local_primary),
         _row("kernels_pure_at_primes", KERNELS_AT_PRIMES, _pure),
@@ -813,12 +850,15 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
              lambda ctx, ring, _: _primary_pair(zero_ideal(ring), "pair"))
     ],
     "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, _pure)],
-    "gpf_ring": [_choice_route("annihilator_power_pure", _pure_annihilator_power)],
+    "gpf_ring": [
+        _choice_route("annihilator_power_pure", _pure_annihilator_power, keys="ann_chains")
+    ],
     "pp_ring": [
         _choice_route(
             "annihilators_idempotent_generated",
             _idempotent_generator,
             lambda ring, a: {"ann": list(bits(ring.ann_masks[a]))},
+            keys="ann_masks",
         ),
         _pp_composite("mid_and_fractions_vnr", "mid", "annihilators_npure"),
         _pp_composite("gpf_and_fractions_vnr", "gpf", "annihilator_power_pure"),

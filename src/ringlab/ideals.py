@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DEFAULT_LATTICE_BOUND
-from .errors import ForeignElement, OrderTooLarge, RingMismatch
+from .errors import ForeignElement, NotAnIdeal, OrderTooLarge, RingMismatch
 from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _row_masks, bits, mask_of
 
 
@@ -103,6 +103,9 @@ def ideal_from_generators(ring: FiniteRing, gens) -> Ideal:
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     if i.ring is not j.ring:
         raise RingMismatch("ideals of different rings")
+    for x in (i, j):
+        if not x.mask & 1 << x.ring.zero:
+            raise NotAnIdeal(f"{x!r} does not contain zero")
     return Ideal(i.ring, _mask_sum(i.ring, i.mask, j.mask))
 
 
@@ -173,9 +176,12 @@ def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
 
 
 def radical(i: Ideal) -> Ideal:
-    """{a : some power of a lies in I}, read off the power-reach masks."""
-    mask = i.mask
-    return Ideal(i.ring, mask_of(a for a, m in enumerate(i.ring.power_masks) if m & mask))
+    """{a : some power of a lies in I}, read off the power-reach masks and
+    memoized by mask on the ring's table data."""
+    memo, mask = i.ring.tables.radicals, i.mask
+    if mask not in memo:
+        memo[mask] = mask_of(a for a, m in enumerate(i.ring.power_masks) if m & mask)
+    return Ideal(i.ring, memo[mask])
 
 
 def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:

@@ -14,9 +14,10 @@ generators (at most log2(N) when + is a group) by Light's associativity
 test (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2) and
 the additivity of the associator.  Only a table that fails is scanned on
 all N^3 triples.
-The element data the deciders read (power reach, Ann(a), Ra, the stable
-Ann(a^oo), 1 - b and the purity witness sets) is derived from the tables on
-first use, once for all elements and for every ring with those tables.
+The element data the deciders read (power reach, Ann(a), Ra, the chain
+Ann(a) <= Ann(a^2) <= ... to its stable term, 1 - b and the purity witness
+sets) is derived from the tables on first use, once for all elements and
+for every ring with those tables, as is a memo of radicals by ideal mask.
 """
 
 from __future__ import annotations
@@ -302,11 +303,12 @@ class _Tables:
     interner _INTERNED: the int32 tables (read-only views of the interned
     bytes), their nested-list rows, negation, the element data derived on
     first use, once for all elements, with whole-array operations (power
-    reach, annihilator, principal-ideal and special-element masks, 1 - b,
-    and for each a the bitmasks of the b with a(1-b) zero or nilpotent),
-    and the memos the deciders fill: purity scans, the images
-    {1 - v : v in J} and the sorted ideal lattice.  It refers to no ring,
-    so it is freed with the last ring that holds it.
+    reach, annihilator, principal-ideal and special-element masks, the
+    annihilator chains, 1 - b, and for each a the bitmasks of the b with
+    a(1-b) zero or nilpotent), and the memos the deciders fill: purity
+    scans, the images {1 - v : v in J}, radicals by ideal mask and the
+    sorted ideal lattice.  It refers to no ring, so it is freed with the
+    last ring that holds it.
     """
 
     def __init__(self, key: tuple, add_rows: list[list[int]]):
@@ -322,9 +324,10 @@ class _Tables:
         self.add_rows = add_rows
         self.mul_rows: list[list[int]] = self.mul_table.tolist()
         self.neg_of: list[int] = np.argmax(self.add_table == 0, axis=1).tolist()
-        # ideals._purity_scan results by (mask, nil), and one_minus_image by mask
+        # ideals._purity_scan results by (mask, nil); one_minus_image, radical by mask
         self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
         self._one_minus_images: dict[int, int] = {}
+        self.radicals: dict[int, int] = {}
         # the ideal masks of ideals.all_ideals, sorted by (size, mask)
         self.lattice: list[int] | None = None
 
@@ -361,28 +364,28 @@ class _Tables:
         return self.add_table[self.one, self.neg_of].tolist()
 
     @cached_property
-    def ann_stable(self) -> list[tuple[int, int]]:
-        """ann_stable[a] is the smallest t with Ann(a^t) = Ann(a^(t+1)), and
-        that stable mask.
+    def ann_chains(self) -> list[tuple[int, ...]]:
+        """ann_chains[a] is (Ann(a), Ann(a^2), ..., Ann(a^t)) up to the smallest
+        t with Ann(a^t) = Ann(a^(t+1)); all later terms equal it, and t <= log2(N).
 
-        The annihilator chain Ann(a) <= Ann(a^2) <= ... stabilizes after at
-        most log2(N) strict steps, and once two consecutive terms agree all
-        later ones do; existential exponent searches only need the stable
-        term.
+        The chain depends on Ann(a) alone: if Ann(a) = Ann(b), r a^n = 0 iff
+        r a^(n-1) is in Ann(a) = Ann(b), iff (rb) a^(n-1) = 0, iff r b^n = 0 by
+        induction on n.  So it is built once per distinct Ann(a), one tuple.
         """
-        idx = np.arange(self.order)
-        kills = self.mul_table == self.zero
-        t = np.ones(self.order, dtype=np.intp)
-        power = idx
-        while True:
-            nxt = self.mul_table[power, idx]
-            growing = (kills[power] != kills[nxt]).any(axis=1)
-            if not growing.any():
-                break
-            t += growing
-            power = nxt
-        ann = self.ann_masks
-        return [(s, ann[p]) for s, p in zip(t.tolist(), power.tolist())]
+        ann, mul = self.ann_masks, self.mul_rows
+        by_ann: dict[int, tuple[int, ...]] = {}
+        for a, m in enumerate(ann):
+            if m not in by_ann:
+                chain, power = [m], a
+                while (nxt := ann[(power := mul[power][a])]) != chain[-1]:
+                    chain.append(nxt)
+                by_ann[m] = tuple(chain)
+        return [by_ann[m] for m in ann]
+
+    @cached_property
+    def ann_stable(self) -> list[tuple[int, int]]:
+        """ann_stable[a] is (t, Ann(a^t)): a's chain length and stable term."""
+        return [(len(c), c[-1]) for c in self.ann_chains]
 
     @cached_property
     def nil_mask(self) -> int:
@@ -488,6 +491,7 @@ class FiniteRing:
     ann_masks = _shared("ann_masks")
     principal_masks = _shared("principal_masks")
     one_minus = _shared("one_minus")
+    ann_chains = _shared("ann_chains")
     ann_stable = _shared("ann_stable")
     nil_mask = _shared("nil_mask")
     pure_witnesses = _shared("pure_witnesses")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from ringlab.bounds import Bounds
@@ -66,6 +68,27 @@ def test_ideal_sum_product_intersection():
     assert ideal_sum(i3, i4) == unit_ideal(r)  # 3+4=7 a unit
     assert ideal_product(i2, i6) == zero_ideal(r)  # 2*6 = 0
     assert ideal_intersection(i3, unit_ideal(r)) == i3
+
+
+@pytest.mark.parametrize("left, right", [((1,), (2,)), ((0, 2, 4), (1,))])
+def test_ideal_sum_names_the_operand_without_zero(left, right):
+    # the coset sum needs zero in its first mask and never returned without
+    # it, so an alarm turns a hang into a failure
+    from ringlab.errors import NotAnIdeal
+
+    r = _z(6)
+
+    def hung(signum, frame):
+        raise TimeoutError("ideal_sum did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(NotAnIdeal, match=r"^Ideal\(Z/6, \[1\]\) does not contain zero$"):
+            ideal_sum(Ideal(r, sum(1 << a for a in left)), Ideal(r, sum(1 << a for a in right)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_ring_mismatch_rejected():

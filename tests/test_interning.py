@@ -28,6 +28,7 @@ SHARED = (
     "ann_masks",
     "principal_masks",
     "one_minus",
+    "ann_chains",
     "ann_stable",
     "nil_mask",
     "pure_witnesses",

@@ -170,6 +170,15 @@ def _ann_stable(ring, a):
     return t, _ann(ring, power)
 
 
+def _ann_chain(ring, a):
+    """Ann(a), Ann(a^2), ... up to the first term equal to the next one."""
+    chain, power = (_ann(ring, a),), a
+    while _ann(ring, power) != _ann(ring, ring.mul_rows[power][a]):
+        power = ring.mul_rows[power][a]
+        chain += (_ann(ring, power),)
+    return chain
+
+
 def _is_unit(ring, a):
     return ring.one in ring.mul_rows[a]
 
@@ -204,6 +213,7 @@ REFERENCE = {
     "principal_masks": lambda r: [
         mask_of(r.mul_rows[x][a] for x in range(r.order)) for a in range(r.order)
     ],
+    "ann_chains": lambda r: [_ann_chain(r, a) for a in range(r.order)],
     "ann_stable": lambda r: [_ann_stable(r, a) for a in range(r.order)],
     "one_minus": lambda r: [_one_minus(r, b) for b in range(r.order)],
     "nil_mask": lambda r: mask_of(a for a in range(r.order) if r.zero in power_sequence(r, a)),

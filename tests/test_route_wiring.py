@@ -555,6 +555,24 @@ def test_cover_witnesses_match_the_pair_loop(monkeypatch, spec, first_only, meth
     assert failed
 
 
+@pytest.mark.parametrize("spec", WITNESS_RINGS, ids=str)
+def test_cover_routes_on_one_context_keep_their_own_verdicts(monkeypatch, spec):
+    # both routes read covers by chain class: run them on one context, in
+    # either order, and each must still match its own pair loop
+    ring = build(spec)
+    chains = [_plain_chain(ring, a) for a in range(ring.order)]
+    real = classify._mask_sum_has_one
+    methods = ["zero_divisor_power_cover", "zero_divisor_mixed_cover"]
+    for denied in _distinct(_plain_ann(ring, a) for a in range(ring.order)):
+        monkeypatch.setattr(classify, "_mask_sum_has_one", lambda r, m1, m2, denied=denied:
+                            (False, None) if m1 == denied else real(r, m1, m2))
+        expected = {m: _reference_cover(ring, m, chains) for m in methods}
+        for order in (methods, methods[::-1]):
+            ctx = RingContext(ring)
+            for method in order:
+                assert _outcome(_route(method)(ctx)) == expected[method], (denied, order)
+
+
 FAMILY_ROUTES = {
     # route -> (per-element masks, nil, the witness of a failure at a)
     "annihilators_npure": (
@@ -714,3 +732,34 @@ def test_battery_choice_routes_match_the_element_loop(monkeypatch, spec):
                 failed[method] += got[1] is False
     assert set(failed) == {"ann_complement", "witness_power", "radical_formula"}
     assert all(failed.values())
+
+
+def test_finite_subset_exponent_reads_every_chain():
+    # GF(3)[x]/(x^3 + 2) is GF(3)[x]/((x - 1)^3); on one of its ideals the
+    # uniform witness needs a cube for some elements and a square for others,
+    # the last element among them
+    ring = build(PolyQuot(3, (2, 0, 0, 1)))
+    ctx = RingContext(ring)
+
+    def power_killing(a, c):
+        n, power = 1, a
+        while ring.mul_rows[power][c] != ring.zero:
+            if n > ring.order:
+                return None
+            n, power = n + 1, ring.mul_rows[power][a]
+        return n
+
+    sharp = 0
+    for ideal in ctx.lattice:
+        elems = ideal.elems
+        for b in elems:
+            c = ring.add_rows[ring.one][ring.neg_of[b]]
+            powers = [power_killing(a, c) for a in elems]
+            if None not in powers:
+                expected = {"uniform": [b, max(powers)]}
+                sharp += max(powers) != powers[-1]
+                break
+        else:
+            continue
+        assert NPURE_METHODS["finite_subset"](ctx, ideal).witness == expected, elems
+    assert sharp
