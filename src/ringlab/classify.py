@@ -158,14 +158,15 @@ class PropertyReport:
 
 
 class RingContext:
-    """Per-ring owner of every derived structure and ring-level verdict.
+    """Per-ring owner of every derived structure, derived ring and verdict.
 
     Lattice, spectrum, pure ideals, pure spectrum, pure cores (radical mask
     -> the pure ideals with that radical), reduction, Jacobson radical,
     ideal universe and the element classes (by annihilator chain, by stable
     annihilator) are cached properties.  The lattice is enumerated here only.
-    Kernels and localizations are kept per prime, and verdict(method)
-    decides each ring-level route once for every reader.
+    Kernels are kept per prime and localization contexts per nonzero kernel,
+    which quotient(I) reads when I is one; R/(0) is the context itself.
+    verdict(method) decides each ring-level route once for every reader.
     """
 
     def __init__(self, ring: FiniteRing, bounds: Bounds | None = None):
@@ -176,10 +177,9 @@ class RingContext:
                 f"order {ring.order} exceeds element bound {self.bounds.element}"
             )
         self._kernels: dict[int, Ideal] = {}
-        self._localizations: dict[int, FiniteRing] = {}
+        # nonzero localization kernel mask -> the context of R_p
+        self._locals: dict[int, RingContext] = {}
         self._verdicts: dict[str, Verdict] = {}
-        # (both_powers, chain) -> the mask of _failing_partners
-        self._covers: dict[tuple, int] = {}
 
     @cached_property
     def lattice(self) -> list[Ideal]:
@@ -226,18 +226,30 @@ class RingContext:
             self._kernels[p.mask] = got
         return got
 
+    def local(self, p: Ideal) -> RingContext:
+        """The context of R_p, the quotient by the kernel at p, built once per
+        kernel by localize_at_mask; the context itself when that kernel is
+        zero (R is then local, with maximal ideal p)."""
+        kernel = self.kernel(p)
+        if not kernel.is_zero and kernel.mask not in self._locals:
+            spec = specs.LocalizeAt(self.ring.spec, p.generators())
+            local = localize_at_mask(self.ring, p.mask, spec)
+            self._locals[kernel.mask] = RingContext(local, self.bounds)
+        return self.quotient(kernel)
+
     def localization(self, p: Ideal) -> FiniteRing:
-        """R_p, the quotient by the kernel at p; the ring itself when that
-        kernel is zero (R is then local, with maximal ideal p)."""
-        got = self._localizations.get(p.mask)
+        """R_p as a ring: the ring itself when the kernel at p is zero."""
+        return self.local(p).ring
+
+    def quotient(self, i: Ideal) -> RingContext:
+        """The context of R/I: this one for I = (0), which has the same tables,
+        a localization's for its kernel, else a new one, which is not kept."""
+        if i.is_zero:
+            return self
+        got = self._locals.get(i.mask)
         if got is None:
-            ring = self.ring
-            if self.kernel(p).is_zero:
-                got = ring
-            else:
-                spec = specs.LocalizeAt(ring.spec, p.generators())
-                got = localize_at_mask(ring, p.mask, spec)
-            self._localizations[p.mask] = got
+            spec = specs.Quotient(self.ring.spec, i.generators())
+            got = RingContext(quotient_ring(self.ring, i.mask, spec), self.bounds)
         return got
 
     @cached_property
@@ -245,11 +257,7 @@ class RingContext:
         """The quotient by the nilradical and the projection index map; the
         ring itself and the identity map when the nilradical is zero."""
         nil = nilradical(self.ring)
-        if nil.is_zero:
-            # the quotient by zero has the same tables: keep the ring
-            return self.ring, list(range(self.ring.order))
-        spec = specs.Quotient(self.ring.spec, nil.generators())
-        return quotient_ring(self.ring, nil.mask, spec), quotient_projection(self.ring, nil.mask)
+        return self.quotient(nil).ring, quotient_projection(self.ring, nil.mask)
 
     @cached_property
     def jacobson(self) -> Ideal:
@@ -316,13 +324,6 @@ def _classes(keys: Iterable) -> dict:
     return classes
 
 
-def _first_of_each(masks: list[int]) -> list[tuple[int, int]]:
-    """(a, mask) for each distinct mask of the list, a the first element with
-    it, in the order of a: read backwards, a mask's last entry is its first."""
-    first = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
-    return sorted((a, m) for m, a in first.items())
-
-
 def _choices(method: str, elems: Iterable[int], choose: Callable[[int], list | None],
              named=lambda a: {}, keys: list | None = None, **passed) -> Verdict:
     """For every a in elems, choose(a) lists the smallest witness of a, or is
@@ -374,7 +375,7 @@ def _npure_witness_power(ctx: RingContext, ideal: Ideal) -> Verdict:
 
     def choose(a: int) -> list | None:
         # the smallest b of I with 1 - b in Ann(a^oo)
-        ok, pair = _mask_sum_has_one(ring, ideal.mask, ring.ann_stable[a][1])
+        ok, pair = _mask_sum_has_one(ring, ideal.mask, ring.ann_chains[a][-1])
         return [pair[0], _min_power_killing(ring, a, pair[1])] if ok else None
 
     return _choices("witness_power", ideal.elems, choose, keys=ring.ann_chains)
@@ -440,7 +441,7 @@ def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
     ring = ctx.ring
     elems = ideal.elems
     # the b whose 1 - b lies in every Ann(a^oo): each kills every a of the set
-    killed_by_all = reduce(and_, (ring.ann_stable[a][1] for a in elems), (1 << ring.order) - 1)
+    killed_by_all = reduce(and_, (ring.ann_chains[a][-1] for a in elems), (1 << ring.order) - 1)
     common = ideal.mask & ring.one_minus_image(killed_by_all)
     if common:
         b = (common & -common).bit_length() - 1
@@ -451,7 +452,7 @@ def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
     k = len(elems)
     complements = [ring.one_minus[b] for b in elems]
     ok_masks = [
-        mask_of(bi for bi, c in enumerate(complements) if (ring.ann_stable[a][1] >> c) & 1)
+        mask_of(bi for bi, c in enumerate(complements) if (ring.ann_chains[a][-1] >> c) & 1)
         for a in elems
     ]
     for size in (1, 2, 3):
@@ -544,11 +545,11 @@ UNIVERSE = Family(
 LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice), _named_ideal)
 # each distinct principal ideal or annihilator once, with its first element
 PRINCIPAL = Family(
-    lambda ctx: _first_of_each(ctx.ring.principal_masks),
+    lambda ctx: ((next(bits(c)), m) for m, c in _classes(ctx.ring.principal_masks).items()),
     lambda a, mask, detail: {"generator": a, **detail},
 )
 ANNIHILATORS = Family(
-    lambda ctx: _first_of_each(ctx.ring.ann_masks),
+    lambda ctx: ((next(bits(c)), m) for m, c in _classes(ctx.ring.ann_masks).items()),
     lambda a, mask, detail: {"element": a, "ann_element": detail["element"]},
 )
 # the same members, with each failing annihilator listed in the witness
@@ -672,35 +673,34 @@ def _nested_differ(same: Callable[[RingContext, Ideal], int]):
 
 def _failing_partners(ctx: RingContext, ca: tuple, both_powers: bool) -> int:
     """The nonzero b in Ann(a), for the a with chain ca, with no n giving
-    Ann(a^n) + Ann(b^n) = R (both_powers) or Ann(a) + Ann(b^n) = R; memoized,
-    and decided once per chain class of b, as it reads only the chains."""
-    key = (both_powers, ca)
-    if key not in ctx._covers:
-        ring, partners, failing = ctx.ring, ca[0] & ~(1 << ctx.ring.zero), 0
-        for cb, members in ctx.chain_classes.items():
-            # ab = 0 iff a is in Ann(b): a class lies in Ann(a) or outside it
-            if not members & partners:
-                continue
-            if both_powers:  # a chain's last term stands for all later powers
-                terms = zip(ca + ca[-1:] * (len(cb) - len(ca)), cb + cb[-1:] * (len(ca) - len(cb)))
-            else:
-                terms = ((ca[0], ann) for ann in cb)
-            if not any(_mask_sum_has_one(ring, x, y)[0] for x, y in terms):
-                failing |= members
-        ctx._covers[key] = failing
-    return ctx._covers[key]
+    Ann(a^n) + Ann(b^n) = R (both_powers) or Ann(a) + Ann(b^n) = R, decided
+    once per chain class of b, as it reads only the chains."""
+    ring, partners, failing = ctx.ring, ca[0] & ~(1 << ctx.ring.zero), 0
+    for cb, members in ctx.chain_classes.items():
+        # ab = 0 iff a is in Ann(b): a class lies in Ann(a) or outside it
+        if not members & partners:
+            continue
+        if both_powers:  # a chain's last term stands for all later powers
+            terms = zip(ca + ca[-1:] * (len(cb) - len(ca)), cb + cb[-1:] * (len(ca) - len(cb)))
+        else:
+            terms = ((ca[0], ann) for ann in cb)
+        if not any(_mask_sum_has_one(ring, x, y)[0] for x, y in terms):
+            failing |= members
+    return failing
 
 
 def _cover_members(ctx: RingContext, both_powers: bool):
     """(a, its failing partners) for each nonzero a whose chain class has
     any, ascending; every other nonzero a passes the cover test.  Zero is
     alone in its class, the only a with Ann(a) = R."""
-    suspects = 0
+    failing, suspects = {}, 0
     for ca, members in ctx.chain_classes.items():
-        if members != 1 << ctx.ring.zero and _failing_partners(ctx, ca, both_powers):
-            suspects |= members
+        if members != 1 << ctx.ring.zero:
+            failing[ca] = _failing_partners(ctx, ca, both_powers)
+            if failing[ca]:
+                suspects |= members
     chains = ctx.ring.ann_chains
-    return ((a, _failing_partners(ctx, chains[a], both_powers)) for a in bits(suspects))
+    return ((a, failing[chains[a]]) for a in bits(suspects))
 
 
 def _cover(both_powers: bool, ctx: RingContext, a: int, failing: int) -> dict | None:
@@ -760,8 +760,10 @@ def _choice_route(method: str, choose: Callable[[FiniteRing, int], list | None],
 
 def _square_factor(ring: FiniteRing, a: int) -> list | None:
     """The smallest b with a = a^2 b."""
-    row = ring.mul_rows[ring.mul_rows[a][a]]
-    return [row.index(a)] if a in row else None
+    try:
+        return [ring.mul_rows[ring.mul_rows[a][a]].index(a)]
+    except ValueError:
+        return None
 
 
 def _pure_annihilator_power(ring: FiniteRing, a: int) -> list | None:
@@ -929,13 +931,6 @@ def _agreed(report: dict[str, PropertyResult], name: str) -> bool | None:
     return None if res is None else res.value
 
 
-def _mid_verdict(ctx: RingContext, ring: FiniteRing) -> Verdict:
-    """The annihilators_npure verdict of a ring derived from ctx's ring; that
-    ring itself (a local ring, or R/(0)) reads ctx's verdict."""
-    sub = ctx if ring is ctx.ring else RingContext(ring, ctx.bounds)
-    return sub.verdict("annihilators_npure")
-
-
 def _pure_ideals_npure(ctx: RingContext, props) -> dict | None:
     """Every pure ideal is N-pure; so are its radical and the nilradical."""
     ring = ctx.ring
@@ -1037,22 +1032,17 @@ def _implies(src: str, dst: str):
 
 def _mid_localizations(ctx: RingContext, props) -> dict | None:
     for p in ctx.spectrum.primes:
-        mid = _mid_verdict(ctx, ctx.localization(p))
+        mid = ctx.local(p).verdict("annihilators_npure")
         if not mid.value:
             return {"prime": list(p.elems), "element": mid.witness["element"]}
     return None
 
 
 def _mid_quotients(ctx: RingContext, props) -> dict | None:
-    ring = ctx.ring
     for i in ctx.pure_list:
         if not i.is_proper:
             continue
-        if i.is_zero:
-            q = ring  # R/(0) has the same tables
-        else:
-            q = quotient_ring(ring, i.mask, specs.Quotient(ring.spec, i.generators()))
-        mid = _mid_verdict(ctx, q)
+        mid = ctx.quotient(i).verdict("annihilators_npure")
         if not mid.value:
             return {"pure_ideal": list(i.elems), "element": mid.witness["element"]}
     return None
@@ -1060,7 +1050,8 @@ def _mid_quotients(ctx: RingContext, props) -> dict | None:
 
 def _product_mid(ctx: RingContext, props) -> dict | None:
     whole = ctx.verdict("annihilators_npure").value
-    factors = all(_mid_verdict(ctx, f).value for f in ctx.ring.factors)
+    factors = all(RingContext(f, ctx.bounds).verdict("annihilators_npure").value
+                  for f in ctx.ring.factors)
     return None if whole == factors else {"product": whole, "factors": factors}
 
 

@@ -304,7 +304,8 @@ class _Tables:
     bytes), their nested-list rows, negation, the element data derived on
     first use, once for all elements, with whole-array operations (power
     reach, annihilator, principal-ideal and special-element masks, the
-    annihilator chains, 1 - b, and for each a the bitmasks of the b with
+    annihilator chains (a chain's length and last term are its exponent and
+    stable annihilator), 1 - b, and for each a the bitmasks of the b with
     a(1-b) zero or nilpotent), and the memos the deciders fill: purity
     scans, the images {1 - v : v in J}, radicals by ideal mask and the
     sorted ideal lattice.  It refers to no ring, so it is freed with the
@@ -381,11 +382,6 @@ class _Tables:
                     chain.append(nxt)
                 by_ann[m] = tuple(chain)
         return [by_ann[m] for m in ann]
-
-    @cached_property
-    def ann_stable(self) -> list[tuple[int, int]]:
-        """ann_stable[a] is (t, Ann(a^t)): a's chain length and stable term."""
-        return [(len(c), c[-1]) for c in self.ann_chains]
 
     @cached_property
     def nil_mask(self) -> int:
@@ -492,7 +488,6 @@ class FiniteRing:
     principal_masks = _shared("principal_masks")
     one_minus = _shared("one_minus")
     ann_chains = _shared("ann_chains")
-    ann_stable = _shared("ann_stable")
     nil_mask = _shared("nil_mask")
     pure_witnesses = _shared("pure_witnesses")
     npure_witnesses = _shared("npure_witnesses")

@@ -62,18 +62,19 @@ RingSpec = Zmod | PolyQuot | Product | Quotient | LocalizeAt | TableSpec
 
 
 def print_univariate(coeffs: tuple[int, ...], var: str) -> str:
-    """Render a little-endian coefficient vector as `x^2 + x + 1` text."""
-    parts = []
+    """Render a little-endian coefficient vector as `x^2 - 2*x + 1` text."""
+    text = ""
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mono = var if k == 1 else f"{var}^{k}"
-            parts.append(mono if c == 1 else f"{c}*{mono}")
-    return " + ".join(parts) if parts else "0"
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        mono = var if k == 1 else f"{var}^{k}"
+        text += str(abs(c)) if k == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+    return text or "0"
 
 
 def print_ring_spec(spec: RingSpec) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -58,9 +59,23 @@ def test_parse_roundtrip():
         LocalizeAt(Zmod(12), (2,)),
         TableSpec("rings/z6.tbl"),
         Quotient(Quotient(Zmod(16), (8,)), (4,)),
+        # negative coefficients, leading or not, are written with a minus
+        PolyQuot(3, (-1, 0, 1)),
+        PolyQuot(5, (3, -2, 0, -1)),
+        PolyQuot(2, (-3, -1, -1)),
+        Quotient(PolyQuot(3, (-1, 0, 1)), (4,)),
+        LocalizeAt(Product((PolyQuot(5, (0, -1, 1)), Zmod(3))), (1,)),
     ]
     for spec in specs:
         assert parse_ring_spec(print_ring_spec(spec)) == spec
+    assert print_ring_spec(PolyQuot(3, (1, -2, 0, -1))) == "GF(3)[x]/(-x^3 - 2*x + 1)"
+    # every vector of entries -3..3 with a nonzero leading entry, degrees 1-3
+    for p in (2, 3, 5):
+        for d in (1, 2, 3):
+            for coeffs in itertools.product(range(-3, 4), repeat=d + 1):
+                if coeffs[-1]:
+                    spec = PolyQuot(p, coeffs)
+                    assert parse_ring_spec(print_ring_spec(spec)) == spec, coeffs
 
 
 def test_parse_errors_have_positions():

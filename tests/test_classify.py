@@ -12,6 +12,7 @@ from ringlab.classify import (
     NPURE_METHODS,
     PROPERTY_METHODS,
     PROPERTY_ORDER,
+    THEOREM_CHECKS,
     RingContext,
     Verdict,
     classify_catalog,
@@ -390,6 +391,79 @@ def test_ideal_battery_reduces_only_a_nonreduced_ring(monkeypatch, spec, quotien
         for ic in results:
             (mod_nil,) = (v for v in ic.npure.verdicts if v.method == "mod_nil")
             assert mod_nil.witness["image"] == list(ic.ideal.elems)
+
+
+def _quotient_masks(monkeypatch, ring: FiniteRing) -> list[int]:
+    """Record the ideal mask of every quotient_ring call whose inner ring is
+    the given one, wrapped at each ringlab module binding it."""
+    masks = []
+    original = rings.quotient_ring
+
+    def counted(inner, mask, spec):
+        if inner is ring:
+            masks.append(mask)
+        return original(inner, mask, spec)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ringlab" or name.startswith("ringlab."):
+            if getattr(module, "quotient_ring", None) is original:
+                monkeypatch.setattr(module, "quotient_ring", counted)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "spec, built",
+    [
+        (Zmod(12), 3),
+        (Zmod(30), 6),
+        (Product((Zmod(4), Zmod(3))), 3),
+        (PolyQuot(2, (0, 0, 1, 1)), 3),
+    ],
+)
+def test_classify_ring_builds_each_derived_quotient_once(monkeypatch, spec, built):
+    # R_p is R modulo the kernel at p, a pure ideal: the pure-quotient check
+    # reads the localization's context, R/(0) is R itself, and the nilradical
+    # is neither a kernel nor a nonzero pure ideal
+    ring = build(spec)
+    ctx = RingContext(ring)
+    want = (
+        {ctx.kernel(p).mask for p in ctx.spectrum.primes}
+        | {i.mask for i in ctx.pure_list if i.is_proper}
+        | {ring.nil_mask}
+    ) - {1 << ring.zero}
+    masks = _quotient_masks(monkeypatch, ring)
+    report = classify_ring(ring)
+    checks = {c.check: c.status for c in report.theorem_checks}
+    assert checks["mid_localizations_are_mid"] == "pass"
+    assert checks["quotients_by_pure_ideals_are_mid"] == "pass"
+    assert len(masks) == built
+    assert sorted(masks) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "spec", [Zmod(4), Zmod(12), Zmod(30), Product((Zmod(4), Zmod(3))), PolyQuot(2, (0, 0, 1, 1))]
+)
+def test_pure_quotients_first_leave_localizations_to_localize_at_mask(monkeypatch, spec):
+    # a quotient built before the localizations is not kept where they are
+    # read, so each R_p with a nonzero kernel still comes from localize_at_mask
+    ring = build(spec)
+    ctx = RingContext(ring)
+    body = next(body for check, _, _, body in THEOREM_CHECKS
+                if check == "quotients_by_pure_ideals_are_mid")
+    assert body(ctx, {}) is None
+    calls = _count_calls(monkeypatch, rings.localize_at_mask)
+    for p in ctx.spectrum.primes:
+        before = len(calls)
+        local = ctx.localization(p)
+        assert ctx.localization(p) is local
+        if ctx.kernel(p).is_zero:
+            assert local is ring and len(calls) == before
+        else:
+            assert calls[before:] == [ring]
+            assert local.local_maximal_mask() is not None
+    verify_theorems(ctx)
+    stored = [v for memo in vars(ctx).values() if isinstance(memo, dict) for v in memo.values()]
+    assert all(v is not ctx for v in stored)
 
 
 def test_classify_product_builds_no_ring(monkeypatch):

@@ -160,7 +160,7 @@ def test_annihilator_chain_stabilizes():
                 if masks[i] == masks[i + 1]:
                     assert all(m == masks[i] for m in masks[i + 1 :])
                     break
-            t, stable = r.ann_stable[a]
+            t, stable = len(r.ann_chains[a]), r.ann_chains[a][-1]
             assert stable == masks[t - 1] == masks[t]
 
 

@@ -29,7 +29,6 @@ SHARED = (
     "principal_masks",
     "one_minus",
     "ann_chains",
-    "ann_stable",
     "nil_mask",
     "pure_witnesses",
     "npure_witnesses",

@@ -163,13 +163,6 @@ def _ann(ring, a):
     return mask_of(x for x in range(ring.order) if ring.mul_rows[a][x] == ring.zero)
 
 
-def _ann_stable(ring, a):
-    t, power = 1, a
-    while _ann(ring, power) != _ann(ring, ring.mul_rows[power][a]):
-        t, power = t + 1, ring.mul_rows[power][a]
-    return t, _ann(ring, power)
-
-
 def _ann_chain(ring, a):
     """Ann(a), Ann(a^2), ... up to the first term equal to the next one."""
     chain, power = (_ann(ring, a),), a
@@ -214,7 +207,6 @@ REFERENCE = {
         mask_of(r.mul_rows[x][a] for x in range(r.order)) for a in range(r.order)
     ],
     "ann_chains": lambda r: [_ann_chain(r, a) for a in range(r.order)],
-    "ann_stable": lambda r: [_ann_stable(r, a) for a in range(r.order)],
     "one_minus": lambda r: [_one_minus(r, b) for b in range(r.order)],
     "nil_mask": lambda r: mask_of(a for a in range(r.order) if r.zero in power_sequence(r, a)),
     "unit_mask": lambda r: mask_of(a for a in range(r.order) if _is_unit(r, a)),

@@ -72,7 +72,7 @@ def _reference_finite_subset(ring, ideal):
     k = len(elems)
     complements = [ring.one_minus[b] for b in elems]
     ok_masks = [
-        mask_of(bi for bi, c in enumerate(complements) if (ring.ann_stable[a][1] >> c) & 1)
+        mask_of(bi for bi, c in enumerate(complements) if (ring.ann_chains[a][-1] >> c) & 1)
         for a in elems
     ]
     common = reduce(and_, ok_masks, (1 << k) - 1)

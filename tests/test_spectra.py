@@ -223,7 +223,7 @@ def test_purity_oracle_from_generator_annihilators():
             gens = i.generators()
             pure = _one_in_sum(r, i.mask, reduce(and_, (r.ann_masks[g] for g in gens), full))
             npure = _one_in_sum(
-                r, i.mask, reduce(and_, (r.ann_stable[g][1] for g in gens), full)
+                r, i.mask, reduce(and_, (r.ann_chains[g][-1] for g in gens), full)
             )
             assert pure == _purity_scan(r, i.mask, nil=False)[0], (r.name, i.elems)
             assert npure == _purity_scan(r, i.mask, nil=True)[0], (r.name, i.elems)
