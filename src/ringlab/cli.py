@@ -51,6 +51,15 @@ def _bound(text: str) -> int:
     return value
 
 
+def _variables(text: str) -> tuple[str, ...]:
+    """`--vars`: distinct single letters a-z; argparse names the flag on error."""
+    names = tuple(v.strip() for v in text.split(","))
+    for i, v in enumerate(names, 1):
+        if len(v) != 1 or not "a" <= v <= "z" or v in names[: i - 1]:
+            raise argparse.ArgumentTypeError(f"entry {i} {v!r}: need distinct letters a-z")
+    return names
+
+
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lattice-bound", type=_bound, default=Bounds.lattice,
                         help="max ring order for full ideal-lattice operations")
@@ -162,8 +171,7 @@ def cmd_example1(args) -> int:
 
 def cmd_groebner(args) -> int:
     order = order_by_name(args.order)
-    vars = tuple(v.strip() for v in args.vars.split(",")) if args.vars else None
-    gens = parse_poly_list(args.ideal, args.prime, vars)
+    gens = parse_poly_list(args.ideal, args.prime, args.vars)
     gb = buchberger(gens, order)
     print(f"reduced basis over GF({args.prime}), {args.order}:")
     for g in gb.generators:
@@ -216,7 +224,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_gb.add_argument("--ideal", required=True, help="comma-separated generators")
     p_gb.add_argument("--member", help="polynomial to test for ideal membership")
     p_gb.add_argument("--radical-member", help="polynomial to test for radical membership")
-    p_gb.add_argument("--vars", help="comma-separated variable precedence (default: alphabetical)")
+    p_gb.add_argument("--vars", type=_variables,
+                      help="comma-separated variable precedence (default: alphabetical)")
     p_gb.set_defaults(fn=cmd_groebner)
 
     return parser

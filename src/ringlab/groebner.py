@@ -10,6 +10,9 @@ variables have higher precedence.  Two orders are provided:
 Ideal membership reduces to a zero normal form against a reduced basis;
 radical membership adjoins a fresh variable t and asks whether
 1 lies in (gens, 1 - t*f).
+
+The polynomial text format, its parser and its printer belong to
+:mod:`ringlab.specs`; this module reads and writes it over GF(p).
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import re
 import string
 from dataclasses import dataclass
 
-from .errors import ArityMismatch, CharMismatch, ParseError
+from .errors import ArityMismatch, CharMismatch
 from .rings import is_prime
+from .specs import Scanner, parse_terms, print_terms
 
 Monomial = tuple[int, ...]
 
@@ -157,24 +161,8 @@ class PolyFp:
 
     def text(self, order: MonomialOrder = LEX) -> str:
         """Canonical text form, terms in descending monomial order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            for name, e in zip(self.vars, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        ordered = sorted(self.terms, key=order.key, reverse=True)
+        return print_terms([(m, self.terms[m]) for m in ordered], self.vars)
 
     def __repr__(self) -> str:
         return f"PolyFp({self.text()} over GF({self.p}))"
@@ -344,107 +332,36 @@ def radical_member(f: PolyFp, gens: list[PolyFp], order: MonomialOrder = LEX) ->
     return ideal_member(one, gb)
 
 
-# -- text format ----------------------------------------------------------
+# -- text format: the `poly` grammar of specs.py ---------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[a-z]|\*|\^|\+|-)")
+_VAR = re.compile(r"[a-z]")
 
 
 def parse_poly(text: str, p: int, vars: tuple[str, ...] | None = None) -> PolyFp:
-    """Parse `3*x^2*y + z - 1` over GF(p).
+    """Parse one `poly` such as `3*x^2*y + z - 1` over GF(p).
 
-    When vars is None the variable list is inferred from the text and
+    When vars is None the variable list is the letters a-z of the text,
     ordered alphabetically (earlier letters take higher precedence).
     """
-    if not is_prime(p):
-        raise CharMismatch(f"{p} is not prime")
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    if vars is None:
-        seen = sorted({t for t, _ in tokens if len(t) == 1 and t.isalpha()})
-        vars = tuple(seen)
-    nv = len(vars)
-    var_index = {v: i for i, v in enumerate(vars)}
-
-    terms: dict[Monomial, int] = {}
-    i = 0
-
-    def parse_term(i: int, sign: int) -> int:
-        coeff = sign
-        expo = [0] * nv
-        expect_factor = True
-        saw = False
-        while i < len(tokens):
-            tok, at = tokens[i]
-            if tok == "*":
-                if expect_factor:
-                    raise ParseError("misplaced '*'", at)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                break
-            if tok.isdigit():
-                coeff *= int(tok)
-                i += 1
-            elif tok.isalpha():
-                if tok not in var_index:
-                    raise ParseError(f"unknown variable {tok!r}", at)
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "^":
-                    i += 1
-                    if i >= len(tokens) or not tokens[i][0].isdigit():
-                        raise ParseError("expected exponent after '^'", at)
-                    power = int(tokens[i][0])
-                    i += 1
-                expo[var_index[tok]] += power
-            else:
-                raise ParseError(f"expected a factor, got {tok!r}", at)
-            saw = True
-            expect_factor = False
-        if not saw:
-            at = tokens[i][1] if i < len(tokens) else len(text)
-            raise ParseError("expected a term", at)
-        m = tuple(expo)
-        terms[m] = terms.get(m, 0) + coeff
-        return i
-
-    sign = 1
-    if i < len(tokens) and tokens[i][0] in "+-":
-        sign = -1 if tokens[i][0] == "-" else 1
-        i += 1
-    i = parse_term(i, sign)
-    while i < len(tokens):
-        tok, at = tokens[i]
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', got {tok!r}", at)
-        i = parse_term(i + 1, sign)
-    return PolyFp(p, vars, terms)
+    return _parse_polys(text, p, vars, many=False)[0]
 
 
 def parse_poly_list(text: str, p: int, vars: tuple[str, ...] | None = None) -> list[PolyFp]:
-    """Comma-separated polynomials sharing one inferred variable list."""
-    chunks = [c for c in text.split(",") if c.strip()]
-    if not chunks:
-        raise ParseError("empty polynomial list")
+    """Parse `poly (',' poly)*` with one scanner and one variable list."""
+    return _parse_polys(text, p, vars, many=True)
+
+
+def _parse_polys(text: str, p: int, vars: tuple[str, ...] | None, many: bool) -> list[PolyFp]:
+    if not is_prime(p):
+        raise CharMismatch(f"{p} is not prime")
     if vars is None:
-        seen: set[str] = set()
-        for c in chunks:
-            seen.update(t for t in re.findall(r"[a-z]", c))
-        vars = tuple(sorted(seen))
-    return [parse_poly(c, p, vars) for c in chunks]
+        vars = tuple(sorted(set(_VAR.findall(text))))
+    sc = Scanner(text)
+    polys = [PolyFp(p, vars, parse_terms(sc, vars))]
+    while many and sc.match(","):
+        polys.append(PolyFp(p, vars, parse_terms(sc, vars)))
+    sc.expect_end("polynomial")
+    return polys
 
 
 # -- the certified counterexample ideal ----------------------------------

@@ -8,10 +8,15 @@ Grammar accepted by :func:`parse_ring_spec`::
           | 'quotient(' spec ';' INT (',' INT)* ')'
           | 'localize(' spec ';' INT (',' INT)* ')'
           | 'table:' PATH
+    poly := ['+'|'-'] term (('+'|'-') term)*
+    term := factor ('*' factor)*
+    factor := INT | VAR ['^' INT]
 
 Generators for quotient/localize are element indices of the inner ring
 (for Z/n these coincide with residues).  Every spec round-trips through
-:func:`print_ring_spec`.
+:func:`print_ring_spec`.  The ``poly`` rules are the one polynomial text
+format: :func:`parse_terms` reads them for any variable tuple and
+:func:`print_terms` writes them, here and for the Groebner commands.
 """
 
 from __future__ import annotations
@@ -61,20 +66,26 @@ class TableSpec:
 RingSpec = Zmod | PolyQuot | Product | Quotient | LocalizeAt | TableSpec
 
 
+def print_terms(terms, vars: tuple[str, ...]) -> str:
+    """Render (exponent tuple, coefficient) pairs, in the order given, as
+    `3*x^2*y - z + 1`; zero coefficients are left out and no terms give `0`."""
+    text = ""
+    for m, c in terms:
+        if not c:
+            continue
+        mono = "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(vars, m) if e])
+        a = abs(c)
+        term = f"{a}*{mono}" if mono and a != 1 else mono or str(a)
+        if text:
+            text += (" - " if c < 0 else " + ") + term
+        else:
+            text = "-" + term if c < 0 else term
+    return text or "0"
+
+
 def print_univariate(coeffs: tuple[int, ...], var: str) -> str:
     """Render a little-endian coefficient vector as `x^2 - 2*x + 1` text."""
-    text = ""
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if text:
-            text += " - " if c < 0 else " + "
-        elif c < 0:
-            text = "-"
-        mono = var if k == 1 else f"{var}^{k}"
-        text += str(abs(c)) if k == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-    return text or "0"
+    return print_terms([((k,), coeffs[k]) for k in range(len(coeffs) - 1, -1, -1)], (var,))
 
 
 def print_ring_spec(spec: RingSpec) -> str:
@@ -93,7 +104,13 @@ def print_ring_spec(spec: RingSpec) -> str:
     raise TypeError(f"not a RingSpec: {spec!r}")
 
 
-class _Scanner:
+_INT = re.compile(r"\d+")
+_PATH = re.compile(r"[^,;)\s]+")
+
+
+class Scanner:
+    """Cursor over input text; errors carry the position from its start."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -121,70 +138,55 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos :])
+        m = _INT.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", self.pos)
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group())
 
-    def at_end(self) -> bool:
+    def expect_end(self, what: str) -> None:
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            raise ParseError(f"trailing input after {what}", self.pos)
 
 
-def _parse_univariate(sc: _Scanner, var: str) -> tuple[int, ...]:
-    """Parse `c*x^k + ...` into a little-endian coefficient vector.
+def parse_terms(sc: Scanner, vars: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """Read one `poly` over the variable tuple into {exponent tuple: coefficient}.
 
-    Coefficients are collected as written; modular reduction and monicity
-    are the builder's concern.
+    Like terms are summed as written, zero sums included; reduction mod p
+    and monicity are the caller's concern.
     """
-    coeffs: dict[int, int] = {}
-    sign = 1
-    if sc.match("-"):
-        sign = -1
-    elif sc.match("+"):
-        pass
-    while True:
-        c, k = _parse_term(sc, var)
-        coeffs[k] = coeffs.get(k, 0) + sign * c
-        if sc.match("+"):
-            sign = 1
-        elif sc.match("-"):
-            sign = -1
-        else:
-            break
-    deg = max(coeffs) if coeffs else 0
-    return tuple(coeffs.get(i, 0) for i in range(deg + 1))
-
-
-def _parse_term(sc: _Scanner, var: str) -> tuple[int, int]:
-    coeff = 1
-    power = 0
-    saw_factor = False
-    while True:
-        ch = sc.peek()
-        if ch.isdigit():
-            coeff *= sc.integer()
-            saw_factor = True
-        elif ch == var:
-            sc.pos += 1
-            if sc.match("^"):
-                power += sc.integer()
+    index = {v: i for i, v in enumerate(vars)}
+    terms: dict[tuple[int, ...], int] = {}
+    sign = 1 if sc.match("+") or not sc.match("-") else -1
+    while sign:
+        coeff, expo = sign, [0] * len(vars)
+        while True:
+            ch = sc.peek()
+            if ch.isdigit():
+                coeff *= sc.integer()
+            elif ch in index:
+                sc.pos += 1
+                expo[index[ch]] += sc.integer() if sc.match("^") else 1
+            elif ch.isalpha():
+                raise ParseError(f"unknown variable {ch!r}", sc.pos)
             else:
-                power += 1
-            saw_factor = True
-        elif ch.isalpha():
-            raise ParseError(f"unexpected variable {ch!r}, modulus must use {var!r}", sc.pos)
-        else:
-            raise ParseError("expected a term", sc.pos)
-        if not sc.match("*"):
-            break
-    if not saw_factor:
-        raise ParseError("expected a term", sc.pos)
-    return coeff, power
+                raise ParseError("expected a term", sc.pos)
+            if not sc.match("*"):
+                break
+        m = tuple(expo)
+        terms[m] = terms.get(m, 0) + coeff
+        sign = 1 if sc.match("+") else -1 if sc.match("-") else 0
+    return terms
 
 
-def _parse_spec(sc: _Scanner) -> RingSpec:
+def _parse_univariate(sc: Scanner, var: str) -> tuple[int, ...]:
+    """Read a `poly` in one variable into a little-endian coefficient vector."""
+    terms = parse_terms(sc, (var,))
+    return tuple(terms.get((k,), 0) for k in range(max(terms)[0] + 1))
+
+
+def _parse_spec(sc: Scanner) -> RingSpec:
     sc.skip_ws()
     if sc.match("Z/"):
         return Zmod(sc.integer())
@@ -224,15 +226,15 @@ def _parse_spec(sc: _Scanner) -> RingSpec:
         sc.expect(")")
         return LocalizeAt(inner, gens)
     if sc.match("table:"):
-        m = re.match(r"[^,;)\s]+", sc.text[sc.pos :])
+        m = _PATH.match(sc.text, sc.pos)
         if not m:
             raise ParseError("expected a file path after table:", sc.pos)
-        sc.pos += m.end()
+        sc.pos = m.end()
         return TableSpec(m.group())
     raise ParseError("expected a ring spec", sc.pos)
 
 
-def _parse_gens(sc: _Scanner) -> tuple[int, ...]:
+def _parse_gens(sc: Scanner) -> tuple[int, ...]:
     gens = [sc.integer()]
     while sc.match(","):
         gens.append(sc.integer())
@@ -241,8 +243,7 @@ def _parse_gens(sc: _Scanner) -> tuple[int, ...]:
 
 def parse_ring_spec(text: str) -> RingSpec:
     """Parse the ring-construction DSL; raises ParseError with position."""
-    sc = _Scanner(text)
+    sc = Scanner(text)
     spec = _parse_spec(sc)
-    if not sc.at_end():
-        raise ParseError("trailing input after spec", sc.pos)
+    sc.expect_end("spec")
     return spec

@@ -359,6 +359,38 @@ def test_cli_groebner_custom_variable_order(capsys):
     assert "z + x" in out  # z leads under the custom precedence
 
 
+@pytest.mark.parametrize(
+    "flags, position",
+    [
+        (["--ideal", "x*"], 2),
+        (["--ideal", "x*y*"], 4),
+        (["--ideal", "x,,y"], 2),
+        (["--ideal", "x,"], 2),
+        (["--ideal", "x, y + ?"], 7),
+        (["--ideal", "x^"], 2),
+        (["--ideal", "x", "--member", "x*"], 2),
+        (["--ideal", "x", "--radical-member", "x*x*"], 4),
+    ],
+)
+def test_cli_groebner_malformed_polynomial(capsys, flags, position):
+    assert main(["groebner", "-p", "5", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"(at position {position})" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("vars, entry", [("x,x", "entry 2 'x'"), ("x,,y", "entry 2 ''")])
+def test_cli_groebner_rejects_bad_vars(capsys, vars, entry):
+    with pytest.raises(SystemExit) as exc:
+        main(["groebner", "-p", "5", "--ideal", "x + y", "--vars", vars])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --vars: " + entry in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_catalog_json_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-catalog", "--max-order", "6", "--json", str(p1)]) == 0

@@ -27,6 +27,7 @@ from ringlab.groebner import (
     radical_member,
     s_polynomial,
 )
+from ringlab.specs import parse_ring_spec
 
 # -- test-local oracle machinery (dict-of-exponents representation) -------
 
@@ -136,6 +137,57 @@ def test_parse_errors_carry_position():
         parse_poly("x ^", 5, ("x",))
     with pytest.raises(ParseError):
         parse_poly_list("", 5)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_poly, "x*", "expected a term", 2),
+        (parse_poly, "x*y*", "expected a term", 4),
+        (parse_poly_list, "x*", "expected a term", 2),
+        (parse_poly_list, "x*y*", "expected a term", 4),
+        (parse_poly_list, "x,,y", "expected a term", 2),
+        (parse_poly_list, "x,", "expected a term", 2),
+        # positions count from the start of the whole list, not of its entry
+        (parse_poly_list, "x, y + ?", "expected a term", 7),
+        (parse_poly, "x^", "expected an integer", 2),
+        (parse_poly_list, "x, y^", "expected an integer", 5),
+    ],
+)
+def test_parse_error_positions(parse, text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, 5)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_poly_grammar_matches_the_spec_modulus_grammar():
+    # every string of 1-4 symbols: parse_poly accepts exactly what a
+    # GF(5)[x] modulus accepts, with the same coefficients mod 5, and
+    # rejects the rest at the same offset
+    symbols = ["x", "2", "10", "*", "^", "+", "-", " "]
+    texts = ["".join(t) for n in range(1, 5) for t in iproduct(symbols, repeat=n)]
+    assert len(texts) == 4680
+    prefix = "GF(5)[x]/("
+    for text in texts:
+        try:
+            got = parse_poly(text, 5, ("x",)).terms
+        except ParseError as exc:
+            got = exc.position
+        try:
+            coeffs = parse_ring_spec(f"{prefix}{text})").coeffs
+            want = {(k,): c % 5 for k, c in enumerate(coeffs) if c % 5}
+        except ParseError as exc:
+            want = exc.position - len(prefix)
+        assert got == want, text
+
+
+def test_like_terms_are_summed_as_written():
+    f = parse_poly("x + x + 3*x*y - y*x", 5, ("x", "y"))
+    assert f.terms == {(1, 0): 2, (1, 1): 2}
+    # a modulus keeps its sums unreduced, zero sums included
+    assert parse_ring_spec("GF(5)[x]/(x^2 + x + 4*x - 1)").coeffs == (-1, 5, 1)
+    assert parse_ring_spec("GF(5)[x]/(x^2 - x^2 + 1)").coeffs == (1, 0, 0)
 
 
 def test_variable_precedence_is_positional():

@@ -99,18 +99,23 @@ def catalog16_run(tmp_path_factory):
         return enumerate_(ring)
 
     enabled = gc.isenabled()
+    # free what earlier tests left in reference cycles, so that a cycle the
+    # run makes cannot hide behind table data that is already held
+    gc.collect()
     gc.disable()
-    # table data other live rings hold before the run, kept alive through it
-    held = dict(rings._INTERNED)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rings, "validate_ring_tables", counted_validate)
-        mp.setattr(FiniteRing, "__init__", recorded_init)
-        mp.setattr(ideals, "_lattice_masks", counted_lattice)
-        path = tmp_path_factory.mktemp("catalog") / "catalog16.json"
-        status = main(["verify-catalog", "--max-order", "16", "--json", str(path)])
-        after = set(rings._INTERNED)
-    if enabled:
-        gc.enable()
+    try:
+        # table data other live rings hold before the run, kept alive through it
+        held = dict(rings._INTERNED)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rings, "validate_ring_tables", counted_validate)
+            mp.setattr(FiniteRing, "__init__", recorded_init)
+            mp.setattr(ideals, "_lattice_masks", counted_lattice)
+            path = tmp_path_factory.mktemp("catalog") / "catalog16.json"
+            status = main(["verify-catalog", "--max-order", "16", "--json", str(path)])
+            after = set(rings._INTERNED)
+    finally:
+        if enabled:
+            gc.enable()
     return status, built, record, held, after
 
 
