@@ -81,6 +81,7 @@ from .ideals import (
 from .rings import (
     FiniteRing,
     _mask_sum,
+    _Tables,
     bits,
     localize_at_mask,
     mask_of,
@@ -111,18 +112,21 @@ MethodResult = Verdict | Skipped
 
 @dataclass
 class PropertyResult:
+    """The results of one property's methods; the summaries below are
+    computed on first read, so results must not change after that."""
+
     name: str
     results: list[MethodResult]
 
-    @property
+    @cached_property
     def verdicts(self) -> list[Verdict]:
         return [r for r in self.results if isinstance(r, Verdict)]
 
-    @property
+    @cached_property
     def consistent(self) -> bool:
         return len({v.value for v in self.verdicts}) <= 1
 
-    @property
+    @cached_property
     def value(self) -> bool | None:
         vs = self.verdicts
         if not vs or not self.consistent:
@@ -967,9 +971,19 @@ _IDEAL_OPERATIONS = (("sum", ideal_sum), ("product", ideal_product),
 
 
 def _npure_closure(ctx: RingContext, props) -> dict | None:
+    """The N-pure ideals are closed under sum, product and intersection.
+
+    The pairs (I, J) of N-pure ideals are tried with I <= J in lattice
+    order, the ops in _IDEAL_OPERATIONS order, and the first failure is the
+    one a scan of the full square in row-major order finds.  Each op is
+    commutative, so the failing pairs are symmetric.  Let I be the first
+    ideal in any failing pair: no row before I's has a failure, and all of
+    I's failing partners J come at or after I, so the square's first
+    failure lies in I's row with J >= I, where both scans try the same pairs
+    and ops in the same order."""
     npure_ideals = [i for i in ctx.lattice if _is_npure(ctx.ring, i.mask)]
-    for i in npure_ideals:
-        for j in npure_ideals:
+    for x, i in enumerate(npure_ideals):
+        for j in npure_ideals[x:]:
             for op, combine in _IDEAL_OPERATIONS:
                 if not _is_npure(ctx.ring, combine(i, j).mask):
                     return {"left": list(i.elems), "right": list(j.elems), "op": op}
@@ -1117,6 +1131,30 @@ THEOREM_CHECKS = [
 ]
 
 
+def _theorem_check(ctx: RingContext, row: tuple, properties) -> TheoremCheck | None:
+    """One THEOREM_CHECKS row decided on the context's ring; None when the
+    row does not apply (a product check on a ring without factors)."""
+    check, bound, requires, body = row
+    ring = ctx.ring
+    if requires == "product" and not ring.factors:
+        return None
+    limit = bound(ctx.bounds) if bound else None
+    if limit is not None and ring.order > limit:
+        outcome = f"order {ring.order} exceeds bound {limit}"
+    elif requires in PROPERTY_ALIASES and not _agreed(properties, PROPERTY_ALIASES[requires]):
+        outcome = f"ring not verified {requires}"
+    else:
+        try:
+            outcome = body(ctx, properties)
+        except OrderTooLarge as exc:
+            outcome = str(exc)
+    if outcome is None:
+        return TheoremCheck(check, "pass")
+    if isinstance(outcome, str):
+        return TheoremCheck(check, "skipped", {"reason": outcome})
+    return TheoremCheck(check, "fail", outcome)
+
+
 def verify_theorems(
     ctx: RingContext, properties: dict[str, PropertyResult] | None = None
 ) -> list[TheoremCheck]:
@@ -1125,30 +1163,10 @@ def verify_theorems(
     Checks that would exceed a configured bound are reported as skipped
     (naming the bound), never silently passed.
     """
-    ring = ctx.ring
     if properties is None:
         properties = {name: classify_property(ctx, name) for name in PROPERTY_ORDER}
-    checks: list[TheoremCheck] = []
-    for check, bound, requires, body in THEOREM_CHECKS:
-        if requires == "product" and not ring.factors:
-            continue
-        limit = bound(ctx.bounds) if bound else None
-        if limit is not None and ring.order > limit:
-            outcome = f"order {ring.order} exceeds bound {limit}"
-        elif requires in PROPERTY_ALIASES and not _agreed(properties, PROPERTY_ALIASES[requires]):
-            outcome = f"ring not verified {requires}"
-        else:
-            try:
-                outcome = body(ctx, properties)
-            except OrderTooLarge as exc:
-                outcome = str(exc)
-        if outcome is None:
-            checks.append(TheoremCheck(check, "pass"))
-        elif isinstance(outcome, str):
-            checks.append(TheoremCheck(check, "skipped", {"reason": outcome}))
-        else:
-            checks.append(TheoremCheck(check, "fail", outcome))
-    return checks
+    checks = (_theorem_check(ctx, row, properties) for row in THEOREM_CHECKS)
+    return [c for c in checks if c is not None]
 
 
 def classify_ring(
@@ -1169,22 +1187,47 @@ def classify_ring(
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)
 
 
+def _rekeyed_checks(base: PropertyReport, ring: FiniteRing, bounds: Bounds | None
+                    ) -> list[TheoremCheck]:
+    """base's theorem checks for a ring with base's tables but another key:
+    the rows that read the factors (requires "product") are decided for
+    ring itself, at their own positions; every other row is base's."""
+    ctx = RingContext(ring, bounds)
+    per_key = {row[0] for row in THEOREM_CHECKS if row[2] == "product"}
+    shared = iter([c for c in base.theorem_checks if c.check not in per_key])
+    checks = (_theorem_check(ctx, row, base.properties) if row[0] in per_key else next(shared)
+              for row in THEOREM_CHECKS)
+    return [c for c in checks if c is not None]
+
+
 def classify_catalog(
     rings: list[FiniteRing], bounds: Bounds | None = None
 ) -> list[PropertyReport]:
-    """classify_ring for every ring, in order, run once per distinct key.
+    """classify_ring for every ring, in order, run once per distinct table.
 
-    A ring whose key came earlier in ``rings`` gets the first report of that
-    key with only its ring replaced: every verdict, witness and theorem
-    detail is a function of the key and the bounds.  The shared results'
-    ideals belong to that first ring.
+    Rings are grouped by ``ring.tables``, the table data every ring with
+    equal (add, mul, one) shares.  Every verdict, witness, ideal result and
+    theorem detail but the product check is a function of the tables and
+    the bounds, so a later ring with the first ring's tables gets the first
+    report with its ring replaced.  Only product_mid_iff_factors_mid reads
+    the factors: a later ring with another key gets that check decided
+    for itself, at its own row position, and a later ring of a key seen
+    before gets that key's report.  The shared results' ideals belong to
+    the first ring with the tables.
     """
-    first: dict[tuple, PropertyReport] = {}
+    by_tables: dict[_Tables, PropertyReport] = {}
+    by_key: dict[tuple, PropertyReport] = {}
     reports = []
     for ring in rings:
-        report = first.get(ring.key)
+        report = by_key.get(ring.key)
         if report is None:
-            report = first[ring.key] = classify_ring(ring, bounds=bounds)
+            base = by_tables.get(ring.tables)
+            if base is None:
+                report = by_tables[ring.tables] = classify_ring(ring, bounds=bounds)
+            else:
+                report = replace(base, ring=ring,
+                                 theorem_checks=_rekeyed_checks(base, ring, bounds))
+            by_key[ring.key] = report
         else:
             report = replace(report, ring=ring)
         reports.append(report)

@@ -172,18 +172,18 @@ def cmd_example1(args) -> int:
 def cmd_groebner(args) -> int:
     order = order_by_name(args.order)
     gens = parse_poly_list(args.ideal, args.prime, args.vars)
+    # every query is parsed before the basis is computed or printed, so bad
+    # input exits 2 with nothing on stdout
+    member, rad = (parse_poly(text, args.prime, gens[0].vars) if text else None
+                   for text in (args.member, args.radical_member))
     gb = buchberger(gens, order)
     print(f"reduced basis over GF({args.prime}), {args.order}:")
     for g in gb.generators:
         print(f"  {g.text(order)}")
-    if args.member:
-        f = parse_poly(args.member, args.prime, gb.vars)
-        verdict = ideal_member(f, gb)
-        print(f"member {f.text(order)}: {verdict}")
-    if args.radical_member:
-        f = parse_poly(args.radical_member, args.prime, gb.vars)
-        verdict = radical_member(f, gens, order)
-        print(f"radical member {f.text(order)}: {verdict}")
+    if member is not None:
+        print(f"member {member.text(order)}: {ideal_member(member, gb)}")
+    if rad is not None:
+        print(f"radical member {rad.text(order)}: {radical_member(rad, gens, order)}")
     return 0
 
 

@@ -110,16 +110,23 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
+    """The ideal generated by the products ab, a in I, b in J, memoized by
+    the unordered pair of masks on the ring's table data (IJ = JI)."""
     if i.ring is not j.ring:
         raise RingMismatch("ideals of different rings")
     ring = i.ring
-    mul = ring.mul_rows
-    prods = 0
-    for a in i.elems:
-        row = mul[a]
-        for b in j.elems:
-            prods |= 1 << row[b]
-    return Ideal(ring, ring.ideal_mask_closure(prods))
+    pair = (i.mask, j.mask) if i.mask <= j.mask else (j.mask, i.mask)
+    memo = ring.tables.products
+    got = memo.get(pair)
+    if got is None:
+        mul = ring.mul_rows
+        prods = 0
+        for a in i.elems:
+            row = mul[a]
+            for b in j.elems:
+                prods |= 1 << row[b]
+        got = memo[pair] = ring.ideal_mask_closure(prods)
+    return Ideal(ring, got)
 
 
 def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:

@@ -10,9 +10,13 @@ bools, strs, lists and dicts with str keys), so the document takes them as
 they are, in one pass over the verdicts; a value of any other type makes
 the writer raise ``TypeError``.
 
-The writer gives the text of ``json.dumps`` with sorted keys and compact
-separators, but in pieces: ring dicts that share every value but ``spec``
-(the copies ``build_document`` makes) are encoded once, and
+Reports that share results (``classify_catalog`` gives every ring with the
+same tables the first one's properties and ideal results, and every ring
+with the same key the same theorem checks) share their dicts too: the
+properties and ideals part is built once per table, the theorem checks and
+counts part once per key.  The writer gives the text of ``json.dumps`` with
+sorted keys and compact separators, but in pieces: each value of a ring
+dict is encoded once per object, so a shared part is encoded once, and
 ``write_json_atomic`` streams the pieces to a temporary file that is renamed
 into place, so a failed encode leaves no partial file.
 """
@@ -75,9 +79,22 @@ def _verdict_values(result: PropertyResult) -> dict:
     return {r.method: r.value for r in result.verdicts}
 
 
-def _outcomes(report: PropertyReport):
-    """Yield (kind, name, outcome, failure detail) for each countable check
-    and each skipped method; outcome is True, False, or None for a skip."""
+def _tally(outcomes) -> tuple[dict, list[dict]]:
+    """The counts (passed, failed, skipped; run is 0) and failures of
+    (kind, name, outcome, failure detail) tuples; outcome is True, False, or
+    None for a skip."""
+    counts = dict.fromkeys(COUNTS, 0)
+    failures = []
+    for kind, name, ok, detail in outcomes:
+        counts["skipped" if ok is None else "passed" if ok else "failed"] += 1
+        if ok is False:
+            failures.append({"kind": kind, "name": name, "detail": detail})
+    return counts, failures
+
+
+def _result_outcomes(report: PropertyReport):
+    """The outcome of each method-agreement and ideal-agreement check and of
+    each skipped method."""
     for name, result in sorted(report.properties.items()):
         ok = result.consistent if result.verdicts else None
         yield "method_agreement", name, ok, _verdict_values(result) if ok is False else None
@@ -92,50 +109,75 @@ def _outcomes(report: PropertyReport):
             "pure": item.pure.value,
         } if ok is False else None
         yield "ideal_agreement", "npure", ok, detail
-    for check in report.theorem_checks:
-        ok = None if check.status == "skipped" else check.status == "pass"
-        yield "theorem", check.check, ok, check.detail
     for result in [*report.properties.values(), *(i.npure for i in report.ideal_results)]:
         for r in result.results:
             if isinstance(r, Skipped):
                 yield "method", r.method, None, None
 
 
-def ring_report_dict(report: PropertyReport) -> tuple[dict, list[dict]]:
-    """Serialize one ring's report and tally its checks."""
-    counts = dict.fromkeys(COUNTS, 0)
-    failures = []
-    for kind, name, ok, detail in _outcomes(report):
-        counts["skipped" if ok is None else "passed" if ok else "failed"] += 1
-        if ok is False:
-            failures.append({"kind": kind, "name": name, "detail": detail})
-    counts["run"] = counts["passed"] + counts["failed"]
+def _results_part(report: PropertyReport) -> tuple[dict, dict, dict, list[dict]]:
+    """The properties and ideals dicts of a report with their tally."""
+    properties = {
+        name: _property_dict(result) for name, result in sorted(report.properties.items())
+    }
+    ideals = {
+        "sampled": report.ideals_sampled,
+        "items": [_ideal_dict(item) for item in report.ideal_results],
+    }
+    return (properties, ideals, *_tally(_result_outcomes(report)))
 
+
+def _checks_part(checks: list[TheoremCheck]) -> tuple[list[dict], dict, list[dict]]:
+    """The theorem check dicts with their tally."""
+    counts, failures = _tally(
+        ("theorem", c.check, None if c.status == "skipped" else c.status == "pass", c.detail)
+        for c in checks
+    )
+    return [_check_dict(c) for c in checks], counts, failures
+
+
+def ring_report_dict(report: PropertyReport, parts: dict | None = None
+                     ) -> tuple[dict, list[dict]]:
+    """Serialize one ring's report and tally its checks.
+
+    parts, when given, memoizes the results part by the identities of the
+    report's properties and ideal results and the checks part by the
+    identity of its theorem checks, so reports sharing those objects share
+    the parts built from them.  The caller keeps every report alive while
+    the memo is in use, so no identity is reused."""
+    parts = {} if parts is None else parts
+    results = (id(report.properties), id(report.ideal_results))
+    if results not in parts:
+        parts[results] = _results_part(report)
+    properties, ideals, counts, failures = parts[results]
+    if id(report.theorem_checks) not in parts:
+        parts[id(report.theorem_checks)] = _checks_part(report.theorem_checks)
+    checks, check_counts, check_failures = parts[id(report.theorem_checks)]
+    counts = {key: counts[key] + check_counts[key] for key in COUNTS}
+    counts["run"] = counts["passed"] + counts["failed"]
     doc = {
         "spec": report.ring.name,
         "order": report.ring.order,
-        "properties": {
-            name: _property_dict(result)
-            for name, result in sorted(report.properties.items())
-        },
-        "ideals": {
-            "sampled": report.ideals_sampled,
-            "items": [_ideal_dict(item) for item in report.ideal_results],
-        },
-        "theorem_checks": [_check_dict(c) for c in report.theorem_checks],
+        "properties": properties,
+        "ideals": ideals,
+        "theorem_checks": checks,
         "counts": counts,
     }
-    return doc, failures
+    return doc, failures + check_failures
 
 
 def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
     """The report document of ``reports``, in order.  Reports that share
-    their results (``classify_catalog`` gives each later ring of a key the
-    first one's) are serialized once, each under its own spec; their ring
-    dicts share every value but ``spec``."""
+    all their results (``classify_catalog`` gives each later ring of a key
+    the first one's) are serialized once, each under its own spec; their
+    ring dicts share every value but ``spec``.  Reports that share their
+    properties and ideal results share those dicts."""
     rings = []
     totals = dict.fromkeys(COUNTS, 0)
     failures = []
+    # keyed by id(): sound because ``reports`` holds every keyed object
+    # until the document is built
+    parts: dict = {}
     serialized: dict[tuple[int, int, int], tuple[dict, list[dict]]] = {}
     for report in reports:
         results = (id(report.properties), id(report.ideal_results), id(report.theorem_checks))
@@ -143,7 +185,7 @@ def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
             doc, ring_failures = serialized[results]
             doc = {**doc, "spec": report.ring.name}
         else:
-            doc, ring_failures = serialized[results] = ring_report_dict(report)
+            doc, ring_failures = serialized[results] = ring_report_dict(report, parts)
         rings.append(doc)
         for key in COUNTS:
             totals[key] += doc["counts"][key]
@@ -164,19 +206,30 @@ def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The deciders build tree-shaped, JSON-native values (a shared part is
+# reached twice, never from inside itself), so the circular-reference check
+# is skipped.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _document_pieces(doc: dict):
     """Yield the text of ``json.dumps(doc, sort_keys=True, separators=(",",
     ":")) + "\n"`` in pieces, one list element at a time.
 
-    A dict element with a ``spec`` key is cut there: the keys before it and
-    the keys after it are encoded once per distinct tuple of value
-    identities, so a ring dict copied as ``{**doc, "spec": ...}`` costs one
-    encode of its spec."""
+    A dict element with a ``spec`` key (a ring dict) is encoded key by key,
+    each key and value once per object, so a part that ring dicts share is
+    encoded once.  The memo is keyed by id(): that is sound only because
+    ``doc`` holds every value while the pieces are generated, so no id is
+    reused."""
     encode = _ENCODER.encode
-    memo: dict[tuple, tuple[str, str]] = {}
+    memo: dict[int, str] = {}
+
+    def encoded(value) -> str:
+        text = memo.get(id(value))
+        if text is None:
+            text = memo[id(value)] = encode(value)
+        return text
+
     yield "{"
     for index, (key, value) in enumerate(sorted(doc.items())):
         if index:
@@ -190,23 +243,12 @@ def _document_pieces(doc: dict):
         for position, item in enumerate(value):
             if position:
                 yield ","
-            if not (isinstance(item, dict) and "spec" in item):
+            if isinstance(item, dict) and "spec" in item:
+                yield "{" + ",".join(
+                    encoded(k) + ":" + encoded(v) for k, v in sorted(item.items())
+                ) + "}"
+            else:
                 yield encode(item)
-                continue
-            items = sorted(item.items())
-            cut = next(i for i, (k, _) in enumerate(items) if k == "spec")
-            ident = tuple((k, id(v)) for k, v in items if k != "spec")
-            pieces = memo.get(ident)
-            if pieces is None:
-                head = encode(dict(items[:cut]))[1:-1]
-                tail = encode(dict(items[cut + 1:]))[1:-1]
-                pieces = memo[ident] = (
-                    "{" + head + ("," if head else "") + '"spec":',
-                    ("," if tail else "") + tail + "}",
-                )
-            yield pieces[0]
-            yield encode(item["spec"])
-            yield pieces[1]
         yield "]"
     yield "}\n"
 

@@ -17,7 +17,8 @@ all N^3 triples.
 The element data the deciders read (power reach, Ann(a), Ra, the chain
 Ann(a) <= Ann(a^2) <= ... to its stable term, 1 - b and the purity witness
 sets) is derived from the tables on first use, once for all elements and
-for every ring with those tables, as is a memo of radicals by ideal mask.
+for every ring with those tables, as are memos of radicals, quotient
+tables and ideal products by ideal mask.
 """
 
 from __future__ import annotations
@@ -307,9 +308,10 @@ class _Tables:
     annihilator chains (a chain's length and last term are its exponent and
     stable annihilator), 1 - b, and for each a the bitmasks of the b with
     a(1-b) zero or nilpotent), and the memos the deciders fill: purity
-    scans, the images {1 - v : v in J}, radicals by ideal mask and the
-    sorted ideal lattice.  It refers to no ring, so it is freed with the
-    last ring that holds it.
+    scans, the images {1 - v : v in J}, radicals and quotient tables by
+    ideal mask, ideal products by unordered pair of masks, and the sorted
+    ideal lattice.  It refers to no ring, and its quotient memo holds
+    arrays only, so it is freed with the last ring that holds it.
     """
 
     def __init__(self, key: tuple, add_rows: list[list[int]]):
@@ -329,6 +331,10 @@ class _Tables:
         self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
         self._one_minus_images: dict[int, int] = {}
         self.radicals: dict[int, int] = {}
+        # ideal mask -> (coset of each element, quotient add, mul, one);
+        # (smaller mask, larger mask) -> mask of the product ideal
+        self.quotients: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        self.products: dict[tuple[int, int], int] = {}
         # the ideal masks of ideals.all_ideals, sorted by (size, mask)
         self.lattice: list[int] | None = None
 
@@ -553,7 +559,9 @@ class FiniteRing:
         """The tables, one and the factors' keys: everything a report reads
         of the ring except its name.  Rings with equal keys get equal
         reports; dict lookup compares the full bytes, so equal hashes alone
-        never make two keys equal.  The bytes are the interned ones."""
+        never make two keys equal.  The bytes are the interned ones.  Of
+        the report, only the product check (product_mid_iff_factors_mid)
+        reads the factors: rings with equal tables share everything else."""
         return (
             self.tables.add_bytes,
             self.tables.mul_bytes,
@@ -625,6 +633,22 @@ def _check_order(n: int, max_order: int) -> None:
         raise OrderTooLarge(f"order {n} exceeds element bound {max_order}")
 
 
+def _power_order(p: int, d: int, max_order: int) -> int:
+    """p^d for p >= 2, raising OrderTooLarge when it exceeds max_order.
+
+    The powers are formed only while they stay within the bound, so a huge
+    degree costs at most log2(max_order) + 1 products.  An order above the
+    bound is named in decimal up to 1024 bits and as p^d beyond: the
+    decimal form of 2^1000000 alone has 301,030 digits."""
+    n = 1
+    for _ in range(d):
+        n *= p
+        if n > max_order:
+            order = p**d if d == 1 or d * p.bit_length() <= 1024 else f"{p}^{d}"
+            raise OrderTooLarge(f"order {order} exceeds element bound {max_order}")
+    return n
+
+
 def _build_zmod(spec: specs.Zmod, max_order: int) -> FiniteRing:
     n = spec.n
     if n < 2:
@@ -648,8 +672,7 @@ def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
     d = len(coeffs) - 1
     if d < 1 or coeffs[-1] != 1:
         raise NonMonic(f"modulus {specs.print_univariate(spec.coeffs, spec.var)} must be monic of degree >= 1")
-    n = p**d
-    _check_order(n, max_order)
+    n = _power_order(p, d, max_order)
     # little-endian coefficient vectors: element i is sum_t digits[i, t] x^t
     weights = p ** np.arange(d)
     digits = np.arange(n)[:, None] // weights % p
@@ -689,15 +712,33 @@ def quotient_ring(inner: FiniteRing, ideal_mask: int, spec: specs.RingSpec) -> F
     """The ring of cosets modulo an ideal given as a bitmask."""
     if (ideal_mask >> inner.one) & 1:
         raise NotARing("quotient by the unit ideal is the zero ring")
-    reps, proj = _cosets(inner, ideal_mask)
-    sub = np.ix_(reps, reps)
-    qadd, qmul = proj[inner.add_table[sub]], proj[inner.mul_table[sub]]
-    return FiniteRing(qadd, qmul, one=int(proj[inner.one]), spec=spec)
+    _, qadd, qmul, qone = _quotient_tables(inner, ideal_mask)
+    return FiniteRing(qadd, qmul, one=qone, spec=spec)
 
 
 def quotient_projection(inner: FiniteRing, ideal_mask: int) -> list[int]:
     """Index map from inner elements to their cosets in quotient_ring."""
-    return _cosets(inner, ideal_mask)[1].tolist()
+    return _quotient_tables(inner, ideal_mask)[0].tolist()
+
+
+def _quotient_tables(
+    inner: FiniteRing, ideal_mask: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each element's coset and the tables and one of the quotient, memoized
+    by mask on the inner table data.  The memo holds arrays, not a ring, so
+    the quotient's own table data lives only as long as some ring holds it."""
+    memo = inner.tables.quotients
+    got = memo.get(ideal_mask)
+    if got is None:
+        reps, proj = _cosets(inner, ideal_mask)
+        sub = np.ix_(reps, reps)
+        got = memo[ideal_mask] = (
+            proj,
+            proj[inner.add_table[sub]].astype(np.int32),
+            proj[inner.mul_table[sub]].astype(np.int32),
+            int(proj[inner.one]),
+        )
+    return got
 
 
 def _cosets(inner: FiniteRing, ideal_mask: int) -> tuple[np.ndarray, np.ndarray]:

@@ -263,6 +263,14 @@ def test_cli_element_bound_checked_before_building(capsys, argv, order, bound):
     assert captured.err == f"error: order {order} exceeds element bound {bound}\n"
 
 
+def test_cli_huge_modulus_names_the_element_bound(capsys):
+    # 2^1000000 has 301,030 decimal digits, more than int to str converts
+    assert main(["check", "GF(2)[x]/(x^1000000)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 2^1000000 exceeds element bound 200\n"
+
+
 @pytest.mark.parametrize("spec, reason", [
     ("Z/20", "order 20 exceeds lattice bound 16"),
     ("Z/30", "order 30 exceeds pure-spectrum bound 24"),
@@ -378,6 +386,20 @@ def test_cli_groebner_malformed_polynomial(capsys, flags, position):
     assert captured.err.startswith("error: ")
     assert f"(at position {position})" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("query", ["--member", "--radical-member"])
+def test_cli_groebner_parses_queries_before_the_basis(monkeypatch, capsys, query):
+    import ringlab.cli
+
+    def unreachable(*args):
+        raise AssertionError("basis computed before the query was parsed")
+
+    monkeypatch.setattr(ringlab.cli, "buchberger", unreachable)
+    assert main(["groebner", "-p", "5", "--ideal", "x + 1", query, "x*"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a term (at position 2)\n"
 
 
 @pytest.mark.parametrize("vars, entry", [("x,x", "entry 2 'x'"), ("x,,y", "entry 2 ''")])

@@ -27,7 +27,7 @@ from ringlab.classify import (
 )
 from ringlab.errors import OrderTooLarge
 from ringlab.ideals import all_ideals, ideal_from_generators, unit_ideal, zero_ideal
-from ringlab.report import build_document, ring_report_dict
+from ringlab.report import _results_part, build_document, ring_report_dict
 from ringlab.rings import FiniteRing, build, find_isomorphism
 from ringlab.specs import PolyQuot, Product, Quotient, Zmod
 
@@ -533,7 +533,8 @@ def test_product_key_includes_its_factors(monkeypatch):
     assert prod.key != zero_quotient.key
     calls = _count_calls(monkeypatch, classify_ring)
     reports = classify_catalog([prod, zero_quotient])
-    assert calls == [prod, zero_quotient]
+    # one table, one classification; the product check is the product's own
+    assert calls == [prod]
     has_product_check = [
         any(c.check == "product_mid_iff_factors_mid" for c in r.theorem_checks) for r in reports
     ]
@@ -557,11 +558,16 @@ def test_verify_catalog_classifies_each_key_once(monkeypatch, capsys):
 
     classified = _count_calls(monkeypatch, classify_ring)
     serialized = _count_calls(monkeypatch, ring_report_dict)
-    # a second run classifies every key again: no state outlives a run
+    results_parts = _count_calls(monkeypatch, _results_part)
+    # a second run classifies every table again: no state outlives a run
     for _ in range(2):
         assert main(["verify-catalog", "--max-order", "16"]) == 0
         assert capsys.readouterr().out.startswith("catalog: 868 rings")
-        assert len(classified) == len(serialized) == 124
-        assert len({ring.key for ring in classified}) == 124
+        # 124 keys over 83 distinct tables: one classification and one
+        # properties and ideals part per table, one ring dict per key
+        assert len(classified) == len(results_parts) == 83
+        assert len({ring.tables for ring in classified}) == 83
+        assert len(serialized) == len({r.ring.key for r in serialized}) == 124
         classified.clear()
         serialized.clear()
+        results_parts.clear()

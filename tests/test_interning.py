@@ -141,6 +141,21 @@ def test_no_table_data_outlives_a_spectrum_request(capsys):
     assert "maximal" in capsys.readouterr().out
 
 
+def test_no_table_data_outlives_a_check_request(capsys):
+    # quotients, localizations and the product check: the quotient memo on
+    # the table data keeps arrays, not rings
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held = dict(rings._INTERNED)
+        assert main(["check", "product(Z/4, quotient(Z/12; 4))"]) == 0
+        assert set(rings._INTERNED) == set(held)
+    finally:
+        if enabled:
+            gc.enable()
+    assert "checks:" in capsys.readouterr().out
+
+
 def test_each_distinct_table_is_validated_once(catalog16_run):
     _, built, record, held, _ = catalog16_run
     held_triples = {_triple(t) for t in held.values()}
