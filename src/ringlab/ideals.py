@@ -23,12 +23,13 @@ from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _row_masks, bits,
 class Ideal:
     """An ideal, held as (ring, membership bitmask)."""
 
-    __slots__ = ("ring", "mask", "_elems")
+    __slots__ = ("ring", "mask", "_elems", "_gens")
 
     def __init__(self, ring: FiniteRing, mask: int):
         self.ring = ring
         self.mask = mask
         self._elems: tuple[int, ...] | None = None
+        self._gens: tuple[int, ...] | None = None
 
     @property
     def elems(self) -> tuple[int, ...]:
@@ -71,20 +72,23 @@ class Ideal:
         return other.mask & ~self.mask == 0
 
     def generators(self) -> tuple[int, ...]:
-        """A small deterministic generating set (greedy, ascending index).
+        """A small deterministic generating set, built on first read: each is
+        the smallest member outside the ideal the earlier ones generate.
 
         The zero ideal reports (0,) so that every generator list stays
         nonempty and printable in the spec grammar."""
-        ring = self.ring
-        got = 1 << ring.zero
-        gens: list[int] = []
-        for a in self.elems:
-            if not (got >> a) & 1:
+        if self._gens is None:
+            ring = self.ring
+            got = 1 << ring.zero
+            gens: list[int] = []
+            rest = self.mask & ~got
+            while rest:
+                a = (rest & -rest).bit_length() - 1
                 gens.append(a)
                 got = _mask_sum(ring, got, ring.principal_masks[a])
-                if got == self.mask:
-                    break
-        return tuple(gens) if gens else (ring.zero,)
+                rest &= ~got
+            self._gens = tuple(gens) if gens else (ring.zero,)
+        return self._gens
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -111,7 +115,9 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     """The ideal generated by the products ab, a in I, b in J, memoized by
-    the unordered pair of masks on the ring's table data (IJ = JI)."""
+    the unordered pair of masks on the ring's table data (IJ = JI).  Only
+    the gh of the generators g of I and h of J are formed: each ab is a sum
+    of multiples rs gh, for element sets as for ideals."""
     if i.ring is not j.ring:
         raise RingMismatch("ideals of different rings")
     ring = i.ring
@@ -121,10 +127,10 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     if got is None:
         mul = ring.mul_rows
         prods = 0
-        for a in i.elems:
-            row = mul[a]
-            for b in j.elems:
-                prods |= 1 << row[b]
+        for g in i.generators():
+            row = mul[g]
+            for h in j.generators():
+                prods |= 1 << row[h]
         got = memo[pair] = ring.ideal_mask_closure(prods)
     return Ideal(ring, got)
 
@@ -236,9 +242,9 @@ def _lattice_masks(ring: FiniteRing) -> list[int]:
     (Atiyah-Macdonald, Ch. 1, Ex. 1.22), so a ring built as a product
     combines its factors' lattices with whole-array operations, the first
     factor's index most significant as in product_ring.  Any other ring
-    closes the zero ideal under I -> I + (a) over the distinct nonzero
-    principal ideals (a), each sum one _mask_sum; every ideal of a finite
-    ring is a sum of principal ideals, so the closure reaches them all.
+    forms every sum of its principal ideals (every ideal is one), by size:
+    each is added to every ideal reached unless reached itself (the sums
+    reached are closed under sums), each sum one _mask_sum.
     """
     if ring.factors:
         rows = np.ones((1, 1), dtype=bool)
@@ -248,17 +254,10 @@ def _lattice_masks(ring: FiniteRing) -> list[int]:
                 rows.shape[0] * own.shape[0], rows.shape[1] * own.shape[1]
             )
         return _row_masks(rows)
-    zero = 1 << ring.zero
-    principals = set(ring.principal_masks) - {zero}
-    masks = {zero}
-    worklist = [zero]
-    while worklist:
-        m = worklist.pop()
-        for p in principals:
-            s = _mask_sum(ring, m, p)
-            if s not in masks:
-                masks.add(s)
-                worklist.append(s)
+    masks = {1 << ring.zero}
+    for p in sorted(set(ring.principal_masks), key=lambda m: (m.bit_count(), m)):
+        if p not in masks:
+            masks |= {_mask_sum(ring, m, p) for m in masks}
     return list(masks)
 
 
@@ -268,40 +267,55 @@ class PrimalityResult:
     witness: tuple[int, ...] | None = None
 
 
+def _lane_words(masks: list[int], lanes: np.ndarray, n: int) -> np.ndarray:
+    """Element masks as one word per element, bit lanes[j] from masks[j]."""
+    return np.bitwise_or.reduce(_mask_rows(masks, n) << lanes[:, None])
+
+
+def _first_bad_pairs(
+    ring: FiniteRing, masks: list[int], col_masks: list[int] | None = None
+) -> list[tuple[int, int] | None]:
+    """For each ideal mask I, the first (a, b) in row-major order with a and
+    b outside I (b outside the matching col_masks entry if given) and ab in
+    I, else None; up to 64 ideals share one (a, b) array of the narrowest
+    words, a bit each.  With b outside I, (b, a) is bad too, so a <= b."""
+    n, found = ring.order, []
+    for start in range(0, len(masks), 64):
+        block = slice(start, start + 64)
+        k = len(masks[block])
+        lanes = np.arange(k, dtype=np.min_scalar_type(1 << (k - 1)))
+        inside = _lane_words(masks[block], lanes, n)
+        cols = inside if col_masks is None else _lane_words(col_masks[block], lanes, n)
+        # bit j of bad[a, b]: a and b outside their sets for I_j, ab in I_j
+        bad = inside[ring.mul_table] & ~(inside[:, None] | cols)
+        rows = np.bitwise_or.reduce(bad, axis=1)[:, None] >> lanes & 1
+        a = rows.argmax(axis=0)
+        b = (bad[a] >> lanes[:, None] & 1).argmax(axis=1)
+        hit = rows[a, np.arange(k)]
+        found += [(x, y) if h else None for x, y, h in zip(a.tolist(), b.tolist(), hit.tolist())]
+    return found
+
+
 def is_prime_ideal(i: Ideal) -> PrimalityResult:
-    """ab in I implies a in I or b in I, with I proper; witness = bad (a,b)."""
+    """ab in I implies a in I or b in I, with I proper; witness = the first
+    bad (a, b), a <= b."""
     ring = i.ring
     if not i.is_proper:
         return PrimalityResult(False, (ring.one,))
-    mask = i.mask
-    mul = ring.mul_rows
-    outside = [a for a in range(ring.order) if not (mask >> a) & 1]
-    for a in outside:
-        row = mul[a]
-        for b in outside:
-            if b < a:
-                continue
-            if (mask >> row[b]) & 1:
-                return PrimalityResult(False, (a, b) if a <= b else (b, a))
-    return PrimalityResult(True)
+    (bad,) = _first_bad_pairs(ring, [i.mask])
+    return PrimalityResult(bad is None, bad)
 
 
 def is_primary_ideal(i: Ideal) -> PrimalityResult:
-    """ab in I and a not in I imply b in radical(I); witness = bad (a,b)."""
+    """ab in I and a not in I imply b in radical(I); witness = the first bad
+    (a, b), memoized by mask on the ring's table data."""
     ring = i.ring
     if not i.is_proper:
         return PrimalityResult(False, (ring.one,))
-    mask = i.mask
-    rad = radical(i).mask
-    mul = ring.mul_rows
-    for a in range(ring.order):
-        if (mask >> a) & 1:
-            continue
-        row = mul[a]
-        for b in range(ring.order):
-            if (mask >> row[b]) & 1 and not (rad >> b) & 1:
-                return PrimalityResult(False, (a, b))
-    return PrimalityResult(True)
+    memo = ring.tables.primary_pairs
+    if i.mask not in memo:
+        (memo[i.mask],) = _first_bad_pairs(ring, [i.mask], [radical(i).mask])
+    return PrimalityResult(memo[i.mask] is None, memo[i.mask])
 
 
 def is_maximal_ideal(

@@ -12,13 +12,13 @@ Commutativity, identities and inverses are checked on the whole tables;
 associativity and distributivity are decided exactly on additive
 generators (at most log2(N) when + is a group) by Light's associativity
 test (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2) and
-the additivity of the associator.  Only a table that fails is scanned on
-all N^3 triples.
-The element data the deciders read (power reach, Ann(a), Ra, the chain
-Ann(a) <= Ann(a^2) <= ... to its stable term, 1 - b and the purity witness
-sets) is derived from the tables on first use, once for all elements and
-for every ring with those tables, as are memos of radicals, quotient
-tables and ideal products by ideal mask.
+the additivity of the associator, one gather per axiom per block of
+generators.  Only a table that fails is scanned on all N^3 triples.
+The element data the deciders read (the multiplication rows, negation,
+power reach, Ann(a), Ra, the chain Ann(a) <= Ann(a^2) <= ... to its stable
+term, 1 - b and the purity witness sets) is derived from the tables on
+first use, once for all elements and for every ring with those tables, as
+are memos of radicals, quotient tables and ideal products by ideal mask.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# The row scan's temporaries hold at most this many entries: one block of
-# rows for N <= 16, single rows from N = 128 up.
-_BLOCK_ENTRIES = 2**14
+# The row checks' temporaries hold at most this many entries (or one N^2 from
+# N = 182): all (at most log2(N)) generators up to N = 64, all rows to 32.
+_BLOCK_ENTRIES = 2**15
 
 _ROW_AXIOMS = (
     "addition is not associative",
@@ -152,8 +152,13 @@ def validate_ring_tables(
     O(N^2) axioms (shape, range, commutativity, identities, inverses) are
     checked first.  The three row axioms are then decided exactly on the
     additive generators g of _additive_generators, from which every element
-    is reached by adding generators to 0.  Each check is one N^2 gather per
-    generator, run in this order, each assuming the ones before it:
+    is reached by adding generators to 0.  Each check runs on a block of
+    generators at a time, with (g, x, y) arrays of at most _BLOCK_ENTRIES
+    entries (or the N^2 of one generator).  With both tables commutative,
+    each associativity check is one gather, of (g + x) + y or of (gx)y,
+    that must be symmetric in x and y, and the distributivity check
+    compares two, (g + x)y and gy + xy.  The checks run in this order, each
+    assuming the ones before it:
 
     1. (x + g) + y = x + (g + y) for all x, y: Light's associativity test
        (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2).
@@ -186,25 +191,31 @@ def validate_ring_tables(
     for name, t in (("addition", add), ("multiplication", mul)):
         if t.min() < 0 or t.max() >= n:
             raise NotARing(f"{name} table entry out of range")
-        if not np.array_equal(t, t.T):
+        if not (t == t.T).all():
             raise NotARing(f"{name} is not commutative")
     idx = np.arange(n)
-    if not np.array_equal(add[0], idx):
+    if not (add[0] == idx).all():
         raise NotARing("zero is not an additive identity")
-    if not np.array_equal(mul[one], idx):
+    if not (mul[one] == idx).all():
         raise NotARing("one is not a multiplicative identity")
     if not np.all((add == 0).any(axis=1)):
         raise NotARing("some element has no additive inverse")
-    gens = _additive_generators(add_rows)
-    # both sides of each row axiom with a generator g in the middle, as
-    # (x, y) tables
+    gens = np.array(_additive_generators(add_rows), dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // n**2)
+    # both sides of each row axiom for a block G of generators, as (g, x, y)
+    # arrays, written with the commutativity checked above
     for sides in (
-        lambda g: (add[add[:, g]], add[:, add[g]]),  # (x + g) + y = x + (g + y)
-        lambda g: (mul[:, add[g]], add[mul, mul[:, g, None]]),  # x(y + g) = xy + xg
-        lambda g: (mul[mul[:, g]], mul[:, mul[g]]),  # (xg)y = x(gy)
+        # (g + x) + y = (g + y) + x: (x + g) + y = x + (g + y)
+        lambda G: (t := add[add[G]], t.transpose(0, 2, 1)),
+        # (g + x)y = gy + xy: x(y + g) = xy + xg
+        lambda G: (mul[add[G]], np.take(add, mul[G][:, None, :] * n + mul)),
+        # (gx)y = (gy)x: (xg)y = x(gy)
+        lambda G: (t := mul[mul[G]], t.transpose(0, 2, 1)),
     ):
-        if not all(np.array_equal(*sides(g)) for g in gens):
-            raise NotARing(_first_row_failure(add, mul))
+        for start in range(0, len(gens), step):
+            lhs, rhs = sides(gens[start : start + step])
+            if not (lhs == rhs).all():
+                raise NotARing(_first_row_failure(add, mul))
 
 
 def _additive_generators(add_rows: list[list[int]]) -> list[int]:
@@ -235,8 +246,8 @@ def _first_row_failure(add: np.ndarray, mul: np.ndarray) -> str | None:
     """The message of the first failing row, then axiom, of the three row
     axioms checked on all N^3 triples, or None when they all hold.
 
-    Rows are checked in blocks of max(1, 2**14 // N**2), so each temporary
-    holds at most 2**14 entries, or the N^2 of one row above N = 128.
+    Rows are checked in blocks of max(1, 2**15 // N**2), so each temporary
+    holds at most 2**15 entries, or the N^2 of one row above N = 181.
     """
     n = add.shape[0]
     step = max(1, _BLOCK_ENTRIES // n**2)
@@ -302,16 +313,17 @@ class _Tables:
 
     Held by every FiniteRing with equal (add, mul, one), through the
     interner _INTERNED: the int32 tables (read-only views of the interned
-    bytes), their nested-list rows, negation, the element data derived on
-    first use, once for all elements, with whole-array operations (power
-    reach, annihilator, principal-ideal and special-element masks, the
-    annihilator chains (a chain's length and last term are its exponent and
-    stable annihilator), 1 - b, and for each a the bitmasks of the b with
-    a(1-b) zero or nilpotent), and the memos the deciders fill: purity
-    scans, the images {1 - v : v in J}, radicals and quotient tables by
-    ideal mask, ideal products by unordered pair of masks, and the sorted
-    ideal lattice.  It refers to no ring, and its quotient memo holds
-    arrays only, so it is freed with the last ring that holds it.
+    bytes), the addition rows as nested lists, and the element data derived
+    on first use, once for all elements, with whole-array operations (the
+    multiplication rows, negation, power reach, annihilator, principal-ideal
+    and special-element masks, the annihilator chains (a chain's length and
+    last term are its exponent and stable annihilator), 1 - b, and for each
+    a the bitmasks of the b with a(1-b) zero or nilpotent), and the memos
+    the deciders fill: purity scans, the images {1 - v : v in J}, radicals,
+    primary witnesses and quotient tables by ideal mask, ideal products by
+    unordered pair of masks, and the sorted ideal lattice.  It refers to no
+    ring, and its quotient memo holds arrays only, so it is freed with the
+    last ring that holds it.
     """
 
     def __init__(self, key: tuple, add_rows: list[list[int]]):
@@ -325,12 +337,12 @@ class _Tables:
         # plain nested lists are noticeably faster than ndarray scalar access
         # in the exhaustive scans that dominate this package
         self.add_rows = add_rows
-        self.mul_rows: list[list[int]] = self.mul_table.tolist()
-        self.neg_of: list[int] = np.argmax(self.add_table == 0, axis=1).tolist()
-        # ideals._purity_scan results by (mask, nil); one_minus_image, radical by mask
+        # ideals._purity_scan results by (mask, nil); one_minus_image, radical
+        # and is_primary_ideal's first bad pair by mask
         self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
         self._one_minus_images: dict[int, int] = {}
         self.radicals: dict[int, int] = {}
+        self.primary_pairs: dict[int, tuple[int, int] | None] = {}
         # ideal mask -> (coset of each element, quotient add, mul, one);
         # (smaller mask, larger mask) -> mask of the product ideal
         self.quotients: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
@@ -339,17 +351,25 @@ class _Tables:
         self.lattice: list[int] | None = None
 
     @cached_property
+    def mul_rows(self) -> list[list[int]]:
+        return self.mul_table.tolist()
+
+    @cached_property
+    def neg_of(self) -> list[int]:
+        """neg_of[a] is -a."""
+        return np.argmax(self.add_table == 0, axis=1).tolist()
+
+    @cached_property
     def power_masks(self) -> list[int]:
-        """power_masks[a] is the bitmask of {a, a^2, ...}."""
+        """power_masks[a] is the bitmask of {a, a^2, ...}, by doubling, a^(m+1..2m)
+        = a^m * a^(1..m), until every a^m repeats an earlier power (a^i = a^j,
+        i < j, puts all among a^1..a^(j-1)): at most ceil(log2(N + 1)) gathers."""
         n = self.order
-        idx = np.arange(n)
+        powers = np.arange(n, dtype=self.mul_table.dtype)[:, None]
+        while not (powers[:, :-1] == powers[:, -1:]).any(axis=1).all():
+            powers = np.hstack((powers, self.mul_table[powers[:, -1:], powers]))
         reach = np.zeros((n, n), dtype=bool)
-        power = idx
-        # a^k is eventually periodic: stop when every a has returned to a
-        # power it already reached
-        while not reach[idx, power].all():
-            reach[idx, power] = True
-            power = self.mul_table[power, idx]
+        reach[np.arange(n)[:, None], powers] = True
         return _row_masks(reach)
 
     @cached_property
@@ -585,9 +605,10 @@ class FiniteRing:
         ideals of its elements, skipping those already covered."""
         mask = 1 << self.zero
         principal = self.principal_masks
-        for a in bits(seed_mask):
-            if not (mask >> a) & 1:
-                mask = _mask_sum(self, mask, principal[a])
+        rest = seed_mask & ~mask
+        while rest:
+            mask = _mask_sum(self, mask, principal[(rest & -rest).bit_length() - 1])
+            rest &= ~mask
         return mask
 
     def ideal_mask_from_generators(self, gens: Iterable[int]) -> int:
@@ -673,28 +694,33 @@ def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
     if d < 1 or coeffs[-1] != 1:
         raise NonMonic(f"modulus {specs.print_univariate(spec.coeffs, spec.var)} must be monic of degree >= 1")
     n = _power_order(p, d, max_order)
-    # little-endian coefficient vectors: element i is sum_t digits[i, t] x^t
-    weights = p ** np.arange(d)
-    digits = np.arange(n)[:, None] // weights % p
-    # row k holds x^k mod f, for every degree k < 2d-1 of a product
-    xpow = np.zeros((2 * d - 1, d), dtype=np.int64)
-    xpow[:d] = np.eye(d, dtype=np.int64)
-    for k in range(d, 2 * d - 1):
-        xpow[k, 1:] = xpow[k - 1, :-1]
-        xpow[k] = (xpow[k] - xpow[k - 1, -1] * np.array(coeffs[:d])) % p
-    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
-    # shifted[a, t] holds the digits of a * x^t, one matrix product per t;
-    # the digits of a * b are then sum_t digits[b, t] * shifted[a, t], so
-    # the whole (n, n, d) product is one stacked matmul
-    shifted = np.stack([digits @ xpow[t : t + d] for t in range(d)], axis=1) % p
-    mul = np.matmul(digits, shifted) % p @ weights
+    # element i is sum_t (i // p^t % p) x^t, so (R, +) is (Z/p)^d, built a
+    # digit at a time with the new digit most significant, as in product_ring
+    zp = np.arange(p, dtype=np.int32)
+    add = zp_add = (zp[:, None] + zp) % p
+    for w in (p**t for t in range(1, d)):
+        add = (zp_add[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
+    # a * x: the digits below the top shift up one place, and the top digit c
+    # adds c * x^d = c * -(f_0 + ... + f_(d-1) x^(d-1)) mod f
+    idx = np.arange(n, dtype=np.int32)
+    top = n // p
+    reduced = (-zp[:, None] * np.array(coeffs[:d]) % p * p ** np.arange(d)).sum(axis=1)
+    times_x = add[idx % top * p, reduced[idx // top]]
+    # the columns b = c x^k + r (0 < c < p, r < p^k), a block per (k, c):
+    # a * b = a * (b - x^k) + a * x^k, from the block before
+    mul = np.zeros((n, n), dtype=np.int32)
+    image = idx
+    for w in (p**k for k in range(d)):
+        for c in range(1, p):
+            mul[:, c * w : (c + 1) * w] = add[image[:, None], mul[:, (c - 1) * w : c * w]]
+        image = times_x[image]
     return FiniteRing(add, mul, one=1, spec=specs.PolyQuot(p, coeffs, spec.var))
 
 
 def product_ring(factors: list[FiniteRing], spec: specs.Product) -> FiniteRing:
     """The direct product of rings already built, keeping them as ``factors``."""
-    add = np.zeros((1, 1), dtype=np.int64)
-    mul = np.zeros((1, 1), dtype=np.int64)
+    add = np.zeros((1, 1), dtype=np.int32)
+    mul = np.zeros((1, 1), dtype=np.int32)
     one = 0
     order = 1
     for f in factors:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotPrime
-from .ideals import Ideal, _purity_scan, ideal_product, is_prime_ideal
+from .ideals import Ideal, _first_bad_pairs, _purity_scan, ideal_product, is_prime_ideal
 from .rings import FiniteRing
 
 
@@ -24,8 +24,11 @@ class Spectrum:
 
 
 def spectrum(lattice: list[Ideal]) -> Spectrum:
-    """Scan the ideal lattice for primes; classify minimal/maximal by inclusion."""
-    primes = [i for i in lattice if is_prime_ideal(i).value]
+    """Scan the ideal lattice for primes, every proper ideal at once with the
+    pair kernel of is_prime_ideal; classify minimal/maximal by inclusion."""
+    proper = [i for i in lattice if i.is_proper]
+    bad = _first_bad_pairs(lattice[0].ring, [i.mask for i in proper])
+    primes = [i for i, pair in zip(proper, bad) if pair is None]
     minimal = [
         p
         for p in primes
@@ -66,19 +69,16 @@ class PureSpectrum:
 
 
 def pure_spectrum(lattice: list[Ideal], pures: list[Ideal]) -> PureSpectrum:
-    """Brute force over the proper ideals of the lattice x pairs of its pure ideals."""
-    pure_products = [
-        (i, j, ideal_product(i, j)) for i in pures for j in pures
+    """Brute force over the proper ideals P of the lattice and the pairs of
+    its pure ideals as masks: IJ = JI and the test is symmetric in I and J,
+    so each unordered pair is tried once."""
+    pairs = [
+        (i.mask, j.mask, ideal_product(i, j).mask) for k, i in enumerate(pures) for j in pures[k:]
     ]
-    members = []
-    for p in lattice:
-        if not p.is_proper:
-            continue
-        if all(
-            p.contains_ideal(i) or p.contains_ideal(j)
-            for i, j, prod in pure_products
-            if p.contains_ideal(prod)
-        ):
-            members.append(p)
+    members = [
+        p for p in lattice if p.is_proper and not any(
+            prod & ~p.mask == 0 and i & ~p.mask and j & ~p.mask for i, j, prod in pairs
+        )
+    ]
     members.sort(key=lambda i: i.mask)
     return PureSpectrum(lattice[0].ring, members)
