@@ -21,6 +21,10 @@ def default_catalog(max_order: int, bounds: Bounds | None = None) -> list[Finite
     if max_order < 4:
         raise ValueError("max_order must be >= 4")
     bounds = bounds or Bounds()
+    if max_order > bounds.element:
+        # Z/2 ... Z/max_order would stop at the first order above the bound
+        first = max(2, bounds.element + 1)
+        raise OrderTooLarge(f"order {first} exceeds element bound {bounds.element}")
     base_specs: list[RingSpec] = [Zmod(n) for n in range(2, max_order + 1)]
     for p in (2, 3):
         for deg in (1, 2, 3):

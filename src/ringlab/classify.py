@@ -25,8 +25,15 @@ map (the map), a p.p. composite (both parts) and the scans over the ideal
 universe (the count checked) or the Jacobson radical (the radical); the
 other 32 routes return a bare True.  The theorem checks are the ordered
 table THEOREM_CHECKS of ``(check, bound, requires, body)`` rows; a body
-returns None for a pass, a detail dict for a failure or a skip reason, and
-the checks that walk the ideal lattice are first-failure scans too.
+returns None for a pass, a detail dict for a failure or a skip reason.
+Eight checks walk members as first-failure scans ``_scan(family, test)``,
+through the loop the routes use: npure_iff_every_power_npure,
+power_intersection_implies_npure, radical_formula_tracks_npure and
+unique_pure_core over the lattice; pure_ideals_are_npure over the pure
+ideals and then the nilradical; minimal_kernel_radical_recovers_prime over
+the minimal primes and their kernels; and mid_localizations_are_mid and
+quotients_by_pure_ideals_are_mid, one test over the localizations at the
+primes and over the quotients by the proper pure ideals.
 
 An ideal I is *pure* when each a in I has b in I with a(1-b) = 0, and
 *N-pure* when a(1-b) only needs to be nilpotent.  The eight N-purity
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
@@ -65,6 +72,7 @@ from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds
 from .errors import OrderTooLarge
 from .ideals import (
     Ideal,
+    _lattice_key,
     _power_chain,
     _purity_scan,
     all_ideals,
@@ -283,7 +291,7 @@ class RingContext:
         for x, i in enumerate(principals):
             for j in principals[x + 1 :]:
                 masks.add(_mask_sum(ring, i, j))
-        ideals = [Ideal(ring, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+        ideals = [Ideal(ring, m) for m in sorted(masks, key=_lattice_key)]
         return ideals, True
 
     def verdict(self, method: str) -> Verdict:
@@ -488,15 +496,22 @@ def is_npure(ideal: Ideal, method: str = "def", ctx: RingContext | None = None) 
     return NPURE_METHODS[method](ctx, ideal)
 
 
+def _run(methods: Iterable[str], decide: Callable[[str], Verdict]) -> list[MethodResult]:
+    """decide(method) for each method in order; a method that raises
+    OrderTooLarge is Skipped with the reason, and the later ones still run."""
+    results: list[MethodResult] = []
+    for method in methods:
+        try:
+            results.append(decide(method))
+        except OrderTooLarge as exc:
+            results.append(Skipped(method, str(exc)))
+    return results
+
+
 def classify_ideal(ctx: RingContext, ideal: Ideal) -> IdealClassification:
     """Run the purity test and the full N-purity battery on one ideal."""
-    results: list[MethodResult] = []
-    for name, fn in NPURE_METHODS.items():
-        try:
-            results.append(fn(ctx, ideal))
-        except OrderTooLarge as exc:
-            results.append(Skipped(name, str(exc)))
-    return IdealClassification(ideal, is_pure(ideal), PropertyResult("npure", results))
+    npure = _run(NPURE_METHODS, lambda name: NPURE_METHODS[name](ctx, ideal))
+    return IdealClassification(ideal, is_pure(ideal), PropertyResult("npure", npure))
 
 
 # -- route families ------------------------------------------------------
@@ -513,11 +528,12 @@ class Family(NamedTuple):
     summary: Callable[[RingContext], tuple[dict | None, bool]] = lambda ctx: (None, False)
 
 
-def _named_ideal(i: Ideal, subject, detail: dict) -> dict:
-    return {"ideal": list(i.elems), **detail}
+def _named(key: str) -> Callable[[Ideal, object, dict], dict]:
+    """The witness that names the failing member's elements under the key."""
+    return lambda i, subject, detail: {key: list(i.elems), **detail}
 
 
-def _spectrum_family(which: str, view: Callable, witness=_named_ideal) -> Family:
+def _spectrum_family(which: str, view: Callable, witness=_named("ideal")) -> Family:
     """Members of one spectrum list ("primes", "minimal" or "maximal"),
     each with view(ctx, prime) as its subject."""
     return Family(
@@ -543,10 +559,10 @@ def _nested_primes(ctx: RingContext):
 RING = Family(lambda ctx: [(ctx.ring, None)], lambda ring, subject, detail: detail)
 UNIVERSE = Family(
     lambda ctx: ((i, i.mask) for i in ctx.ideal_universe[0]),
-    _named_ideal,
+    _named("ideal"),
     lambda ctx: ({"ideals_checked": len(ctx.ideal_universe[0])}, ctx.ideal_universe[1]),
 )
-LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice), _named_ideal)
+LATTICE = Family(lambda ctx: ((i, i.mask) for i in ctx.lattice), _named("ideal"))
 # each distinct principal ideal or annihilator once, with its first element
 PRINCIPAL = Family(
     lambda ctx: ((next(bits(c)), m) for m, c in _classes(ctx.ring.principal_masks).items()),
@@ -609,13 +625,9 @@ def _row(method: str, family: Family, test) -> tuple[str, Callable[[RingContext]
 # -- route tests: (ctx, member, subject) -> None on a pass, else detail ----
 
 
-def _pure(ctx: RingContext, member, mask: int) -> dict | None:
-    ok, data = _purity_scan(ctx.ring, mask, nil=False)
-    return None if ok else {"element": data}
-
-
-def _npure(ctx: RingContext, member, mask: int) -> dict | None:
-    ok, data = _purity_scan(ctx.ring, mask, nil=True)
+def _purity(nil: bool, ctx: RingContext, member, mask: int) -> dict | None:
+    """The set's first element without a pure (with nil, N-pure) witness."""
+    ok, data = _purity_scan(ctx.ring, mask, nil)
     return None if ok else {"element": data}
 
 
@@ -807,27 +819,27 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     "semiprimitive": [
         _row("zero_jacobson", RING,
              lambda ctx, ring, _: _set_difference(ctx.jacobson.mask, 1 << ring.zero)),
-        _row("jacobson_pure", JACOBSON, _pure),
+        _row("jacobson_pure", JACOBSON, partial(_purity, False)),
     ],
     "nj_ring": [
         _row("nil_equals_jacobson", RING,
              lambda ctx, ring, _: _set_difference(ctx.jacobson.mask, ring.nil_mask)),
-        _row("jacobson_npure", JACOBSON, _npure),
+        _row("jacobson_npure", JACOBSON, partial(_purity, True)),
     ],
     "von_neumann_regular": [
         _choice_route("square_witness", _square_factor),
-        _row("all_ideals_pure", UNIVERSE, _pure),
-        _row("principal_ideals_pure", PRINCIPAL, _pure),
-        _row("maximal_ideals_pure", MAXIMAL, _pure),
+        _row("all_ideals_pure", UNIVERSE, partial(_purity, False)),
+        _row("principal_ideals_pure", PRINCIPAL, partial(_purity, False)),
+        _row("maximal_ideals_pure", MAXIMAL, partial(_purity, False)),
         _row("kernel_equals_maximal", MAXIMAL, _kernel_is_prime),
         _row("localizations_semiprimitive", LOCAL_AT_PRIMES, _local_semiprimitive),
         _row("spectrum_equals_pure_spectrum", RING, _spectra_difference),
     ],
     "zero_dimensional": [
         _row("no_prime_chain", NESTED_PRIMES, _nested_differ(lambda ctx, p: p.mask)),
-        _row("all_ideals_npure", UNIVERSE, _npure),
-        _row("principal_ideals_npure", PRINCIPAL, _npure),
-        _row("maximal_ideals_npure", MAXIMAL, _npure),
+        _row("all_ideals_npure", UNIVERSE, partial(_purity, True)),
+        _row("principal_ideals_npure", PRINCIPAL, partial(_purity, True)),
+        _row("maximal_ideals_npure", MAXIMAL, partial(_purity, True)),
         _row("kernel_radical_equals_maximal", MAXIMAL, _kernel_radical_is_prime),
         _row("localizations_nj_at_primes", LOCAL_AT_PRIMES, _local_nj),
         _row("localizations_nj_at_maximals", LOCAL_AT_MAXIMALS, _local_nj),
@@ -835,17 +847,17 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
     "mp_ring": [
         _row("unique_minimal_below", PRIMES, _one_minimal_below),
         _row("zero_divisor_power_cover", POWER_COVER, partial(_cover, True)),
-        _row("minimal_primes_npure", MINIMAL, _npure),
-        _row("minimal_kernels_npure", KERNELS_AT_MINIMALS, _npure),
-        _row("all_kernels_npure", KERNELS_AT_PRIMES, _npure),
+        _row("minimal_primes_npure", MINIMAL, partial(_purity, True)),
+        _row("minimal_kernels_npure", KERNELS_AT_MINIMALS, partial(_purity, True)),
+        _row("all_kernels_npure", KERNELS_AT_PRIMES, partial(_purity, True)),
     ],
     "mid_ring": [
-        _row("annihilators_npure", ANNIHILATORS, _npure),
+        _row("annihilators_npure", ANNIHILATORS, partial(_purity, True)),
         _row("zero_divisor_mixed_cover", MIXED_COVER, partial(_cover, False)),
         _row("localizations_primary_at_primes", LOCAL_AT_PRIMES, _local_primary),
         _row("localizations_primary_at_maximals", LOCAL_AT_MAXIMALS, _local_primary),
-        _row("kernels_pure_at_primes", KERNELS_AT_PRIMES, _pure),
-        _row("kernels_pure_at_minimals", KERNELS_AT_MINIMALS, _pure),
+        _row("kernels_pure_at_primes", KERNELS_AT_PRIMES, partial(_purity, False)),
+        _row("kernels_pure_at_minimals", KERNELS_AT_MINIMALS, partial(_purity, False)),
         _row("kernels_equal_when_nested", NESTED_PRIMES, _nested_differ(_kernel_mask)),
         _row("kernels_primary_at_primes", PRIMES, _kernel_primary),
         _row("kernels_primary_at_maximals", MAXIMAL, _kernel_primary),
@@ -855,7 +867,7 @@ PROPERTY_METHODS: dict[str, list[tuple[str, callable]]] = {
         _row("zero_ideal_primary", RING,
              lambda ctx, ring, _: _primary_pair(zero_ideal(ring), "pair"))
     ],
-    "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, _pure)],
+    "pf_ring": [_row("annihilators_pure", ANNIHILATOR_SETS, partial(_purity, False))],
     "gpf_ring": [
         _choice_route("annihilator_power_pure", _pure_annihilator_power, keys="ann_chains")
     ],
@@ -897,13 +909,7 @@ def canonical_property(name: str) -> str:
 
 def classify_property(ctx: RingContext, name: str) -> PropertyResult:
     name = canonical_property(name)
-    results: list[MethodResult] = []
-    for method, _ in PROPERTY_METHODS[name]:
-        try:
-            results.append(ctx.verdict(method))
-        except OrderTooLarge as exc:
-            results.append(Skipped(method, str(exc)))
-    return PropertyResult(name, results)
+    return PropertyResult(name, _run((m for m, _ in PROPERTY_METHODS[name]), ctx.verdict))
 
 
 def ring_class(ring: FiniteRing, prop: str, method: str | None = None,
@@ -935,16 +941,19 @@ def _agreed(report: dict[str, PropertyResult], name: str) -> bool | None:
     return None if res is None else res.value
 
 
-def _pure_ideals_npure(ctx: RingContext, props) -> dict | None:
+# each pure ideal, then the nilradical's mask alone, with no ideal to name
+PURE_THEN_NIL = Family(
+    lambda ctx: chain(((i, i.mask) for i in ctx.pure_list), [(None, ctx.ring.nil_mask)]),
+    lambda i, m, detail: {"nilradical": True} if i is None else LATTICE.witness(i, m, detail),
+)
+
+
+def _npure_with_radical(ctx: RingContext, i: Ideal | None, mask: int) -> dict | None:
     """Every pure ideal is N-pure; so are its radical and the nilradical."""
-    ring = ctx.ring
-    for i in ctx.pure_list:
-        if not _is_npure(ring, i.mask):
-            return {"ideal": list(i.elems)}
-        if not _is_npure(ring, radical(i).mask):
-            return {"ideal": list(i.elems), "radical": True}
-    if not _is_npure(ring, ring.nil_mask):
-        return {"nilradical": True}
+    if not _is_npure(ctx.ring, mask):
+        return {}
+    if i is not None and not _is_npure(ctx.ring, radical(i).mask):
+        return {"radical": True}
     return None
 
 
@@ -1010,20 +1019,17 @@ def _unique_pure_core(ctx: RingContext, i: Ideal, mask: int) -> dict | None:
     return None if count == 1 else {"count": count}
 
 
-def _minimal_kernels(ctx: RingContext, props) -> dict | None:
+MINIMAL_WITH_KERNELS = _spectrum_family("minimal", lambda ctx, p: ctx.kernel(p), _named("prime"))
+
+
+def _kernel_recovers_prime(ctx: RingContext, p: Ideal, k: Ideal) -> dict | None:
     """At a minimal prime the kernel's radical is the prime, the two have
     the same vanishing set, and the kernel is primary."""
-    spec = ctx.spectrum
-    for p in spec.minimal:
-        k = ctx.kernel(p)
-        named = {"prime": list(p.elems)}
-        if radical(k).mask != p.mask:
-            return {**named, "kernel": list(k.elems)}
-        if vanishing_set(k, spec) != vanishing_set(p, spec):
-            return {**named, "vanishing_differs": True}
-        if not is_primary_ideal(k).value:
-            return {**named, "kernel_not_primary": True}
-    return None
+    if radical(k).mask != p.mask:
+        return {"kernel": list(k.elems)}
+    if vanishing_set(k, ctx.spectrum) != vanishing_set(p, ctx.spectrum):
+        return {"vanishing_differs": True}
+    return None if is_primary_ideal(k).value else {"kernel_not_primary": True}
 
 
 def _vnr_iff_spectra_coincide(ctx: RingContext, props) -> dict | str | None:
@@ -1044,22 +1050,18 @@ def _implies(src: str, dst: str):
     return body
 
 
-def _mid_localizations(ctx: RingContext, props) -> dict | None:
-    for p in ctx.spectrum.primes:
-        mid = ctx.local(p).verdict("annihilators_npure")
-        if not mid.value:
-            return {"prime": list(p.elems), "element": mid.witness["element"]}
-    return None
+# the contexts of the localizations at the primes and of the proper pure quotients
+LOCAL_CONTEXTS = _spectrum_family("primes", lambda ctx, p: ctx.local(p), _named("prime"))
+PURE_QUOTIENTS = Family(
+    lambda ctx: ((i, ctx.quotient(i)) for i in ctx.pure_list if i.is_proper),
+    _named("pure_ideal"),
+)
 
 
-def _mid_quotients(ctx: RingContext, props) -> dict | None:
-    for i in ctx.pure_list:
-        if not i.is_proper:
-            continue
-        mid = ctx.quotient(i).verdict("annihilators_npure")
-        if not mid.value:
-            return {"pure_ideal": list(i.elems), "element": mid.witness["element"]}
-    return None
+def _mid(ctx: RingContext, member, derived: RingContext) -> dict | None:
+    """The derived ring's mid route: its failing element."""
+    mid = derived.verdict("annihilators_npure")
+    return None if mid.value else {"element": mid.witness["element"]}
 
 
 def _product_mid(ctx: RingContext, props) -> dict | None:
@@ -1105,7 +1107,7 @@ def _pair_bound(bounds: Bounds) -> int:
 # alias the ring must be verified to have, or "product": the check exists
 # only for rings built as products (those with factors).
 THEOREM_CHECKS = [
-    ("pure_ideals_are_npure", _LATTICE_BOUND, None, _pure_ideals_npure),
+    ("pure_ideals_are_npure", _LATTICE_BOUND, None, _scan(PURE_THEN_NIL, _npure_with_radical)),
     ("reduced_iff_npure_equals_pure", _LATTICE_BOUND, None, _reduced_iff_families_coincide),
     ("npure_iff_every_power_npure", _pair_bound, None, _scan(LATTICE, _powers_npure)),
     ("npure_closed_under_sum_product_intersection", _pair_bound, None, _npure_closure),
@@ -1113,15 +1115,16 @@ THEOREM_CHECKS = [
      _scan(LATTICE, _power_intersection_npure)),
     ("radical_formula_tracks_npure", _pair_bound, None, _scan(LATTICE, _radical_formula_tracks)),
     ("unique_pure_core", _LATTICE_BOUND, None, _scan(LATTICE, _unique_pure_core)),
-    ("minimal_kernel_radical_recovers_prime", _LATTICE_BOUND, None, _minimal_kernels),
+    ("minimal_kernel_radical_recovers_prime", _LATTICE_BOUND, None,
+     _scan(MINIMAL_WITH_KERNELS, _kernel_recovers_prime)),
     ("vnr_iff_spectra_coincide", lambda b: min(b.spp, b.lattice), None,
      _vnr_iff_spectra_coincide),
     ("pf_implies_mid", None, None, _implies("pf_ring", "mid_ring")),
     ("gpf_implies_mid", None, None, _implies("gpf_ring", "mid_ring")),
     ("primary_implies_mid", None, None, _implies("primary_ring", "mid_ring")),
     ("mid_implies_mp", None, None, _implies("mid_ring", "mp_ring")),
-    ("mid_localizations_are_mid", _LATTICE_BOUND, "mid", _mid_localizations),
-    ("quotients_by_pure_ideals_are_mid", _LATTICE_BOUND, "mid", _mid_quotients),
+    ("mid_localizations_are_mid", _LATTICE_BOUND, "mid", _scan(LOCAL_CONTEXTS, _mid)),
+    ("quotients_by_pure_ideals_are_mid", _LATTICE_BOUND, "mid", _scan(PURE_QUOTIENTS, _mid)),
     ("product_mid_iff_factors_mid", None, "product", _product_mid),
     ("gpf_localizations_are_primary", _LATTICE_BOUND, "gpf", _gpf_localizations),
     ("pp_iff_mid_and_fractions_vnr", None, None, _pp_iff("mid")),

@@ -78,16 +78,9 @@ class Ideal:
         The zero ideal reports (0,) so that every generator list stays
         nonempty and printable in the spec grammar."""
         if self._gens is None:
-            ring = self.ring
-            got = 1 << ring.zero
             gens: list[int] = []
-            rest = self.mask & ~got
-            while rest:
-                a = (rest & -rest).bit_length() - 1
-                gens.append(a)
-                got = _mask_sum(ring, got, ring.principal_masks[a])
-                rest &= ~got
-            self._gens = tuple(gens) if gens else (ring.zero,)
+            self.ring.ideal_mask_closure(self.mask, gens)
+            self._gens = tuple(gens) or (self.ring.zero,)
         return self._gens
 
 
@@ -213,6 +206,11 @@ def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
     return Ideal(ring, ring.ann_masks[target])
 
 
+def _lattice_key(mask: int) -> tuple[int, int]:
+    """The lattice order: by size, then by mask."""
+    return mask.bit_count(), mask
+
+
 def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Ideal]:
     """The complete ideal lattice, sorted by (size, mask).
 
@@ -231,7 +229,7 @@ def _sorted_lattice_masks(ring: FiniteRing) -> list[int]:
     table data that every ring with the same tables shares."""
     tables = ring.tables
     if tables.lattice is None:
-        tables.lattice = sorted(_lattice_masks(ring), key=lambda m: (m.bit_count(), m))
+        tables.lattice = sorted(_lattice_masks(ring), key=_lattice_key)
     return tables.lattice
 
 
@@ -255,7 +253,7 @@ def _lattice_masks(ring: FiniteRing) -> list[int]:
             )
         return _row_masks(rows)
     masks = {1 << ring.zero}
-    for p in sorted(set(ring.principal_masks), key=lambda m: (m.bit_count(), m)):
+    for p in sorted(set(ring.principal_masks), key=_lattice_key):
         if p not in masks:
             masks |= {_mask_sum(ring, m, p) for m in masks}
     return list(masks)

@@ -422,7 +422,7 @@ class _Tables:
     @cached_property
     def npure_witnesses(self) -> list[int]:
         """npure_witnesses[a] is the bitmask of {b : a(1-b) is nilpotent}."""
-        nil = np.fromiter((m & 1 for m in self.power_masks), dtype=bool, count=self.order)
+        nil = _mask_rows([self.nil_mask], self.order)[0]
         return _row_masks(nil[self.mul_table[:, self.one_minus]])
 
     def one_minus_image(self, mask: int) -> int:
@@ -444,7 +444,7 @@ class _Tables:
         Element-level characterization of the intersection of all maximal
         ideals; available regardless of any lattice bound.
         """
-        units = (self.mul_table == self.one).any(axis=1)
+        units = _mask_rows([self.unit_mask], self.order)[0]
         one_minus = np.asarray(self.one_minus)
         return _row_masks(units[one_minus[self.mul_table]].all(axis=1))[0]
 
@@ -600,14 +600,16 @@ class FiniteRing:
 
     # -- mask-level ideal helpers (used by builders and the ideal layer)
 
-    def ideal_mask_closure(self, seed_mask: int) -> int:
-        """Additive closure of a union of ideals: the sum of the principal
-        ideals of its elements, skipping those already covered."""
+    def ideal_mask_closure(self, seed_mask: int, picks: list[int] | None = None) -> int:
+        """Additive closure of a union of ideals: the sum of the principal ideals
+        of its elements not yet covered, smallest first, each appended to picks."""
+        picks = [] if picks is None else picks
         mask = 1 << self.zero
         principal = self.principal_masks
         rest = seed_mask & ~mask
         while rest:
-            mask = _mask_sum(self, mask, principal[(rest & -rest).bit_length() - 1])
+            picks.append((rest & -rest).bit_length() - 1)
+            mask = _mask_sum(self, mask, principal[picks[-1]])
             rest &= ~mask
         return mask
 
@@ -799,10 +801,16 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
             tokens = fh.read().split()
     except OSError as exc:
         raise ParseError(f"cannot read table file {spec.path}: {exc}") from exc
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"table file {spec.path} contains a non-integer token") from exc
+    values: list[int] = []
+    for k, token in enumerate(tokens, 1):
+        try:
+            values.append(int(token))
+        except ValueError:
+            digits = token[1:] if token[0] in "+-" else token
+            if not digits.isdecimal():
+                raise ParseError(f"table file {spec.path} contains a non-integer token") from None
+            # more digits than int() converts: no table entry holds that
+            raise ParseError(f"table file {spec.path}: integer {k} does not fit in int32") from None
     if not values:
         raise ParseError(f"table file {spec.path} is empty")
     n = values[0]
@@ -811,6 +819,10 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
         raise ParseError(
             f"table file {spec.path}: expected 1 + 2*N^2 integers for N={n}, got {len(values)}"
         )
+    int32 = np.iinfo(np.int32)
+    wide = next((k for k, v in enumerate(values[1:], 2) if not int32.min <= v <= int32.max), None)
+    if wide is not None:
+        raise ParseError(f"table file {spec.path}: integer {wide} does not fit in int32")
     body = np.asarray(values[1:], dtype=np.int32)
     add = body[: n * n].reshape(n, n)
     mul = body[n * n :].reshape(n, n)

@@ -22,6 +22,7 @@ format: :func:`parse_terms` reads them for any variable tuple and
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -141,8 +142,14 @@ class Scanner:
         m = _INT.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", self.pos)
+        try:
+            value = int(m.group())
+        except ValueError:  # more digits than the interpreter converts
+            digits, limit = m.end() - m.start(), sys.get_int_max_str_digits()
+            raise ParseError(f"integer of {digits} digits exceeds the {limit}-digit limit",
+                             self.pos) from None
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def expect_end(self, what: str) -> None:
         self.skip_ws()

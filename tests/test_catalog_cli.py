@@ -263,6 +263,41 @@ def test_cli_element_bound_checked_before_building(capsys, argv, order, bound):
     assert captured.err == f"error: order {order} exceeds element bound {bound}\n"
 
 
+@pytest.mark.parametrize("max_order, bound, first", [(201, 200, 201), (16, 8, 9), (4, 1, 2)])
+def test_cli_verify_catalog_checks_the_element_bound_first(monkeypatch, capsys, max_order, bound,
+                                                           first):
+    # the first Z/n above the bound is named before any ring is built
+    import ringlab.catalog
+
+    builds, real = [], ringlab.catalog.build
+
+    def counted(spec, *args):
+        builds.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(ringlab.catalog, "build", counted)
+    argv = ["verify-catalog", "--max-order", str(max_order), "--element-bound", str(bound)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {first} exceeds element bound {bound}\n"
+    assert builds == []
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["check", "Z/" + "9" * 5000], 2),
+    (["check", "quotient(Z/4; " + "1" * 5000 + ")"], 14),
+    (["groebner", "-p", "2", "--ideal", "x^" + "1" * 5000], 2),
+])
+def test_cli_overlong_integer_names_its_position(capsys, argv, position):
+    # 5000 digits is more than int() converts from text by default
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: integer of 5000 digits exceeds the {sys.get_int_max_str_digits()}"
+                            f"-digit limit (at position {position})\n")
+
+
 def test_cli_huge_modulus_names_the_element_bound(capsys):
     # 2^1000000 has 301,030 decimal digits, more than int to str converts
     assert main(["check", "GF(2)[x]/(x^1000000)"]) == 2
@@ -465,6 +500,9 @@ def _z3_with(table: str, edits):
     [
         (_z3_with("add", [(1, 2, 3)]), "addition table entry out of range"),
         (_z3_with("mul", [(2, 2, -1)]), "multiplication table entry out of range"),
+        # the int32 extremes pass the file check and fail the range check
+        (_z3_with("add", [(1, 2, 2**31 - 1)]), "addition table entry out of range"),
+        (_z3_with("mul", [(0, 1, -2**31)]), "multiplication table entry out of range"),
         (_z3_with("add", [(0, 1, 2)]), "zero is not an additive identity"),
         (_z3_with("mul", [(1, 2, 1)]), "one is not a multiplicative identity"),
         # rows 1 and 2 become 1 1 2 and 2 2 2: neither holds a 0
@@ -477,4 +515,23 @@ def test_cli_table_axiom_messages(tmp_path, capsys, lines, message):
     assert main(["check", f"table:{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lines, error", [
+    (_z3_with("mul", [(2, 2, 2**31)]), ": integer 19 does not fit in int32"),
+    (_z3_with("add", [(1, 2, -2**31 - 1)]), ": integer 7 does not fit in int32"),
+    (_z3_with("mul", [(0, 1, 99999999999)]), ": integer 12 does not fit in int32"),
+    # more digits than int() converts from text
+    (_z3_with("add", [(1, 1, "-" + "9" * 5000)]), ": integer 6 does not fit in int32"),
+    (_z3_with("mul", [(2, 2, "+-5")]), " contains a non-integer token"),
+    (_z3_with("mul", [(2, 2, "1.0")]), " contains a non-integer token"),
+])
+def test_cli_table_entry_not_an_int32(tmp_path, capsys, lines, error):
+    # an integer that no table can hold is named by its position in the file
+    path = tmp_path / "wide.tbl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: table file {path}{error}\n"
     assert captured.out == ""

@@ -151,6 +151,30 @@ def test_memoized_ideal_product_matches_double_loop(catalog16_tables):
     assert pairs > 5000
 
 
+def _generated(ring: FiniteRing, gens: list[int]) -> int:
+    """The ideal the elements generate: zero, then sums with their multiples
+    until nothing is new."""
+    multiples = {ring.mul_rows[g][r] for g in gens for r in range(ring.order)}
+    got, more = set(), {ring.zero}
+    while more != got:
+        got, more = more, more | {ring.add_rows[x][m] for x in more for m in multiples}
+    return sum(1 << x for x in got)
+
+
+def test_generators_match_the_greedy_loop(catalog16_tables):
+    # each generator is the smallest member outside the ideal the earlier
+    # ones generate; the zero ideal reports (0,)
+    ideals = 0
+    for ring in catalog16_tables:
+        for ideal in all_ideals(ring):
+            picks = []
+            while rest := ideal.mask & ~_generated(ring, picks):
+                picks.append(next(rings.bits(rest)))
+            assert ideal.generators() == (tuple(picks) or (ring.zero,)), (ring.name, ideal)
+            ideals += 1
+    assert ideals > 400
+
+
 def _full_square_closure(ctx: RingContext, is_npure) -> dict | None:
     """The closure scan as it ran over every ordered pair of N-pure ideals."""
     npure_ideals = [i for i in ctx.lattice if is_npure(ctx.ring, i.mask)]

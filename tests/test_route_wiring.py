@@ -22,11 +22,14 @@ from ringlab.classify import (
     THEOREM_CHECKS,
     PropertyResult,
     RingContext,
+    Skipped,
     Verdict,
+    classify_ideal,
     classify_property,
     classify_ring,
     verify_theorems,
 )
+from ringlab.errors import OrderTooLarge
 from ringlab.ideals import Ideal, ideal_from_generators, radical
 from ringlab.rings import bits, build
 from ringlab.spectra import Spectrum
@@ -352,6 +355,29 @@ def test_each_route_runs_at_most_once_per_context(monkeypatch):
         own = {m for ctx, m in calls if ctx.ring is report.ring}
         assert own == methods
         assert {m for ctx, m in calls if ctx.ring is not report.ring} <= {"annihilators_npure"}
+
+
+def _too_large(*args):
+    raise OrderTooLarge("planted bound")
+
+
+def test_a_method_over_its_bound_is_skipped_in_place(monkeypatch):
+    # one N-purity method and one mid route raise in the middle of their
+    # lists: each is Skipped at its own position, and the later ones still run
+    ctx = RingContext(build(Zmod(12)))
+    monkeypatch.setitem(NPURE_METHODS, "radical_formula", _too_large)
+    routes = list(PROPERTY_METHODS["mid_ring"])
+    routes[4] = (routes[4][0], _too_large)
+    monkeypatch.setitem(PROPERTY_METHODS, "mid_ring", routes)
+    for names, results in (
+        (list(NPURE_METHODS), classify_ideal(ctx, ctx.lattice[1]).npure.results),
+        ([m for m, _ in routes], classify_property(ctx, "mid_ring").results),
+    ):
+        assert [r.method for r in results] == names
+        (skipped,) = (x for x, r in enumerate(results) if isinstance(r, Skipped))
+        assert 0 < skipped < len(names) - 1
+        assert results[skipped] == Skipped(names[skipped], "planted bound")
+        assert all(isinstance(r, Verdict) for r in results[skipped + 1:])
 
 
 # -- failure branches no finite ring reaches -------------------------------
