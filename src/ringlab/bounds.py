@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import OrderTooLarge
+
 DEFAULT_LATTICE_BOUND = 64
 DEFAULT_ELEMENT_BOUND = 200
 DEFAULT_SPP_BOUND = 24
@@ -30,3 +32,10 @@ class Bounds:
     lattice: int = DEFAULT_LATTICE_BOUND
     element: int = DEFAULT_ELEMENT_BOUND
     spp: int = DEFAULT_SPP_BOUND
+
+
+def check_order(order: int, bound: int, what: str = "element bound") -> None:
+    """Raise OrderTooLarge naming the bound when order exceeds it: the one
+    place the message `order N exceeds <what> B` is built."""
+    if order > bound:
+        raise OrderTooLarge(f"order {order} exceeds {what} {bound}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .bounds import Bounds
+from .bounds import Bounds, check_order
 from .errors import OrderTooLarge
 from .ideals import all_ideals
 from .rings import FiniteRing, build, product_ring, quotient_ring
@@ -23,8 +23,7 @@ def default_catalog(max_order: int, bounds: Bounds | None = None) -> list[Finite
     bounds = bounds or Bounds()
     if max_order > bounds.element:
         # Z/2 ... Z/max_order would stop at the first order above the bound
-        first = max(2, bounds.element + 1)
-        raise OrderTooLarge(f"order {first} exceeds element bound {bounds.element}")
+        check_order(max(2, bounds.element + 1), bounds.element)
     base_specs: list[RingSpec] = [Zmod(n) for n in range(2, max_order + 1)]
     for p in (2, 3):
         for deg in (1, 2, 3):

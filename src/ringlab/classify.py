@@ -68,7 +68,7 @@ from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from . import specs
-from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds
+from .bounds import DEFAULT_PAIR_CHECK_BOUND, Bounds, check_order
 from .errors import OrderTooLarge
 from .ideals import (
     Ideal,
@@ -184,10 +184,7 @@ class RingContext:
     def __init__(self, ring: FiniteRing, bounds: Bounds | None = None):
         self.ring = ring
         self.bounds = bounds or Bounds()
-        if ring.order > self.bounds.element:
-            raise OrderTooLarge(
-                f"order {ring.order} exceeds element bound {self.bounds.element}"
-            )
+        check_order(ring.order, self.bounds.element)
         self._kernels: dict[int, Ideal] = {}
         # nonzero localization kernel mask -> the context of R_p
         self._locals: dict[int, RingContext] = {}
@@ -207,10 +204,7 @@ class RingContext:
 
     @cached_property
     def pure_spectrum(self) -> PureSpectrum:
-        if self.ring.order > self.bounds.spp:
-            raise OrderTooLarge(
-                f"order {self.ring.order} exceeds pure-spectrum bound {self.bounds.spp}"
-            )
+        check_order(self.ring.order, self.bounds.spp, "pure-spectrum bound")
         return pure_spectrum(self.lattice, self.pure_list)
 
     @cached_property
@@ -1141,16 +1135,15 @@ def _theorem_check(ctx: RingContext, row: tuple, properties) -> TheoremCheck | N
     ring = ctx.ring
     if requires == "product" and not ring.factors:
         return None
-    limit = bound(ctx.bounds) if bound else None
-    if limit is not None and ring.order > limit:
-        outcome = f"order {ring.order} exceeds bound {limit}"
-    elif requires in PROPERTY_ALIASES and not _agreed(properties, PROPERTY_ALIASES[requires]):
-        outcome = f"ring not verified {requires}"
-    else:
-        try:
+    try:
+        if bound:
+            check_order(ring.order, bound(ctx.bounds), "bound")
+        if requires in PROPERTY_ALIASES and not _agreed(properties, PROPERTY_ALIASES[requires]):
+            outcome = f"ring not verified {requires}"
+        else:
             outcome = body(ctx, properties)
-        except OrderTooLarge as exc:
-            outcome = str(exc)
+    except OrderTooLarge as exc:
+        outcome = str(exc)
     if outcome is None:
         return TheoremCheck(check, "pass")
     if isinstance(outcome, str):
@@ -1196,9 +1189,8 @@ def _rekeyed_checks(base: PropertyReport, ring: FiniteRing, bounds: Bounds | Non
     the rows that read the factors (requires "product") are decided for
     ring itself, at their own positions; every other row is base's."""
     ctx = RingContext(ring, bounds)
-    per_key = {row[0] for row in THEOREM_CHECKS if row[2] == "product"}
-    shared = iter([c for c in base.theorem_checks if c.check not in per_key])
-    checks = (_theorem_check(ctx, row, base.properties) if row[0] in per_key else next(shared)
+    shared = {c.check: c for c in base.theorem_checks}
+    checks = (_theorem_check(ctx, row, base.properties) if row[2] == "product" else shared[row[0]]
               for row in THEOREM_CHECKS)
     return [c for c in checks if c is not None]
 

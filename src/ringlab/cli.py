@@ -16,6 +16,7 @@ from .catalog import default_catalog
 from .classify import RingContext, classify_catalog, classify_ring, npure_primes
 from .errors import RingLabError
 from .groebner import (
+    ORDERS,
     buchberger,
     example1_certificate,
     ideal_member,
@@ -220,7 +221,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gb = sub.add_parser("groebner", help="reduced basis and membership queries")
     p_gb.add_argument("-p", "--prime", type=int, required=True)
-    p_gb.add_argument("--order", choices=("lex", "grevlex"), default="lex")
+    p_gb.add_argument("--order", choices=tuple(ORDERS), default="lex")
     p_gb.add_argument("--ideal", required=True, help="comma-separated generators")
     p_gb.add_argument("--member", help="polynomial to test for ideal membership")
     p_gb.add_argument("--radical-member", help="polynomial to test for radical membership")

@@ -21,6 +21,7 @@ import heapq
 import re
 import string
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ArityMismatch, CharMismatch
 from .rings import is_prime
@@ -31,26 +32,21 @@ Monomial = tuple[int, ...]
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    kind: str  # "lex" | "grevlex"
+    """A named order; key(m) sorts monomials ascending in it."""
 
-    def key(self, m: Monomial):
-        if self.kind == "lex":
-            return m
-        if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        raise ValueError(f"unknown order {self.kind!r}")
+    kind: str
+    key: Callable[[Monomial], tuple]
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex", lambda m: m)
+GREVLEX = MonomialOrder("grevlex", lambda m: (sum(m), tuple(-e for e in reversed(m))))
+ORDERS = {order.kind: order for order in (LEX, GREVLEX)}
 
 
 def order_by_name(name: str) -> MonomialOrder:
-    if name == "lex":
-        return LEX
-    if name == "grevlex":
-        return GREVLEX
-    raise ValueError(f"unknown monomial order {name!r}")
+    if name not in ORDERS:
+        raise ValueError(f"unknown monomial order {name!r}")
+    return ORDERS[name]
 
 
 class PolyFp:
@@ -103,11 +99,7 @@ class PolyFp:
         return PolyFp(self.p, self.vars, terms)
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return PolyFp(self.p, self.vars, terms)
+        return self + -other
 
     def __neg__(self) -> "PolyFp":
         return PolyFp(self.p, self.vars, {m: -c for m, c in self.terms.items()})

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_LATTICE_BOUND
-from .errors import ForeignElement, NotAnIdeal, OrderTooLarge, RingMismatch
+from .bounds import DEFAULT_LATTICE_BOUND, check_order
+from .errors import ForeignElement, NotAnIdeal, RingMismatch
 from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _row_masks, bits, mask_of
 
 
@@ -107,25 +107,19 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """The ideal generated by the products ab, a in I, b in J, memoized by
-    the unordered pair of masks on the ring's table data (IJ = JI).  Only
-    the gh of the generators g of I and h of J are formed: each ab is a sum
-    of multiples rs gh, for element sets as for ideals."""
+    """The ideal generated by the products ab, a in I, b in J.  Only the gh
+    of the generators g of I and h of J are formed: each ab is a sum of
+    multiples rs gh, for element sets as for ideals."""
     if i.ring is not j.ring:
         raise RingMismatch("ideals of different rings")
     ring = i.ring
-    pair = (i.mask, j.mask) if i.mask <= j.mask else (j.mask, i.mask)
-    memo = ring.tables.products
-    got = memo.get(pair)
-    if got is None:
-        mul = ring.mul_rows
-        prods = 0
-        for g in i.generators():
-            row = mul[g]
-            for h in j.generators():
-                prods |= 1 << row[h]
-        got = memo[pair] = ring.ideal_mask_closure(prods)
-    return Ideal(ring, got)
+    mul = ring.mul_rows
+    prods = 0
+    for g in i.generators():
+        row = mul[g]
+        for h in j.generators():
+            prods |= 1 << row[h]
+    return Ideal(ring, ring.ideal_mask_closure(prods))
 
 
 def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
@@ -217,10 +211,7 @@ def all_ideals(ring: FiniteRing, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> 
     The bound applies to the ring's own order; see _lattice_masks for how
     the lattice is enumerated.
     """
-    if ring.order > lattice_bound:
-        raise OrderTooLarge(
-            f"order {ring.order} exceeds lattice bound {lattice_bound}"
-        )
+    check_order(ring.order, lattice_bound, "lattice bound")
     return [Ideal(ring, m) for m in _sorted_lattice_masks(ring)]
 
 

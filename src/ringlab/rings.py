@@ -18,7 +18,7 @@ The element data the deciders read (the multiplication rows, negation,
 power reach, Ann(a), Ra, the chain Ann(a) <= Ann(a^2) <= ... to its stable
 term, 1 - b and the purity witness sets) is derived from the tables on
 first use, once for all elements and for every ring with those tables, as
-are memos of radicals, quotient tables and ideal products by ideal mask.
+are memos of radicals and quotient tables by ideal mask.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import specs
-from .bounds import DEFAULT_ELEMENT_BOUND
+from .bounds import DEFAULT_ELEMENT_BOUND, check_order
 from .errors import (
     BadModulus,
     ForeignElement,
@@ -320,10 +320,9 @@ class _Tables:
     last term are its exponent and stable annihilator), 1 - b, and for each
     a the bitmasks of the b with a(1-b) zero or nilpotent), and the memos
     the deciders fill: purity scans, the images {1 - v : v in J}, radicals,
-    primary witnesses and quotient tables by ideal mask, ideal products by
-    unordered pair of masks, and the sorted ideal lattice.  It refers to no
-    ring, and its quotient memo holds arrays only, so it is freed with the
-    last ring that holds it.
+    primary witnesses and quotient tables by ideal mask, and the sorted
+    ideal lattice.  It refers to no ring, and its quotient memo holds
+    arrays only, so it is freed with the last ring that holds it.
     """
 
     def __init__(self, key: tuple, add_rows: list[list[int]]):
@@ -343,10 +342,8 @@ class _Tables:
         self._one_minus_images: dict[int, int] = {}
         self.radicals: dict[int, int] = {}
         self.primary_pairs: dict[int, tuple[int, int] | None] = {}
-        # ideal mask -> (coset of each element, quotient add, mul, one);
-        # (smaller mask, larger mask) -> mask of the product ideal
+        # ideal mask -> (coset of each element, quotient add, mul, one)
         self.quotients: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
-        self.products: dict[tuple[int, int], int] = {}
         # the ideal masks of ideals.all_ideals, sorted by (size, mask)
         self.lattice: list[int] | None = None
 
@@ -651,11 +648,6 @@ class FiniteRing:
 # -- constructors -------------------------------------------------------
 
 
-def _check_order(n: int, max_order: int) -> None:
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} exceeds element bound {max_order}")
-
-
 def _power_order(p: int, d: int, max_order: int) -> int:
     """p^d for p >= 2, raising OrderTooLarge when it exceeds max_order.
 
@@ -676,7 +668,7 @@ def _build_zmod(spec: specs.Zmod, max_order: int) -> FiniteRing:
     n = spec.n
     if n < 2:
         raise BadModulus(f"Z/{n} needs n >= 2")
-    _check_order(n, max_order)
+    check_order(n, max_order)
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -801,6 +793,10 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
             tokens = fh.read().split()
     except OSError as exc:
         raise ParseError(f"cannot read table file {spec.path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"table file {spec.path}: invalid UTF-8 at byte offset {exc.start}"
+        ) from None
     values: list[int] = []
     for k, token in enumerate(tokens, 1):
         try:
@@ -814,7 +810,7 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
     if not values:
         raise ParseError(f"table file {spec.path} is empty")
     n = values[0]
-    _check_order(n, max_order)
+    check_order(n, max_order)
     if n < 2 or len(values) != 1 + 2 * n * n:
         raise ParseError(
             f"table file {spec.path}: expected 1 + 2*N^2 integers for N={n}, got {len(values)}"
@@ -842,14 +838,12 @@ def build(spec: specs.RingSpec, max_order: int = DEFAULT_ELEMENT_BOUND) -> Finit
         return _build_polyquot(spec, max_order)
     if isinstance(spec, specs.Product):
         factors = [build(f, max_order) for f in spec.factors]
-        _check_order(math.prod(f.order for f in factors), max_order)
+        check_order(math.prod(f.order for f in factors), max_order)
         return product_ring(factors, spec)
-    if isinstance(spec, specs.Quotient):
+    if type(spec) in specs.DERIVED:
         inner = build(spec.inner, max_order)
-        return quotient_ring(inner, inner.ideal_mask_from_generators(spec.gens), spec)
-    if isinstance(spec, specs.LocalizeAt):
-        inner = build(spec.inner, max_order)
-        return localize_at_mask(inner, inner.ideal_mask_from_generators(spec.gens), spec)
+        derive = quotient_ring if isinstance(spec, specs.Quotient) else localize_at_mask
+        return derive(inner, inner.ideal_mask_from_generators(spec.gens), spec)
     if isinstance(spec, specs.TableSpec):
         return _build_table(spec, max_order)
     raise TypeError(f"not a RingSpec: {spec!r}")

@@ -5,18 +5,19 @@ Grammar accepted by :func:`parse_ring_spec`::
     spec := 'Z/' INT
           | 'GF(' INT ')[' VAR ']/(' poly ')'
           | 'product(' spec (',' spec)+ ')'
-          | 'quotient(' spec ';' INT (',' INT)* ')'
-          | 'localize(' spec ';' INT (',' INT)* ')'
+          | ('quotient(' | 'localize(') spec ';' INT (',' INT)* ')'
           | 'table:' PATH
     poly := ['+'|'-'] term (('+'|'-') term)*
     term := factor ('*' factor)*
     factor := INT | VAR ['^' INT]
 
 Generators for quotient/localize are element indices of the inner ring
-(for Z/n these coincide with residues).  Every spec round-trips through
-:func:`print_ring_spec`.  The ``poly`` rules are the one polynomial text
-format: :func:`parse_terms` reads them for any variable tuple and
-:func:`print_terms` writes them, here and for the Groebner commands.
+(for Z/n these coincide with residues).  Specs nest at most MAX_DEPTH
+deep: parsing, building and printing each recurse once per level.  Every
+spec round-trips through :func:`print_ring_spec`.  The ``poly`` rules are
+the one polynomial text format: :func:`parse_terms` reads them for any
+variable tuple and :func:`print_terms` writes them, here and for the
+Groebner commands.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ class TableSpec:
 
 RingSpec = Zmod | PolyQuot | Product | Quotient | LocalizeAt | TableSpec
 
+# the specs derived from an inner ring by an ideal's generators, by keyword
+DERIVED = {Quotient: "quotient", LocalizeAt: "localize"}
+
+# product/quotient/localize levels a parsed spec may nest
+MAX_DEPTH = 100
+
 
 def print_terms(terms, vars: tuple[str, ...]) -> str:
     """Render (exponent tuple, coefficient) pairs, in the order given, as
@@ -96,10 +103,9 @@ def print_ring_spec(spec: RingSpec) -> str:
         return f"GF({spec.p})[{spec.var}]/({print_univariate(spec.coeffs, spec.var)})"
     if isinstance(spec, Product):
         return "product(" + ", ".join(print_ring_spec(f) for f in spec.factors) + ")"
-    if isinstance(spec, Quotient):
-        return f"quotient({print_ring_spec(spec.inner)}; " + ", ".join(map(str, spec.gens)) + ")"
-    if isinstance(spec, LocalizeAt):
-        return f"localize({print_ring_spec(spec.inner)}; " + ", ".join(map(str, spec.gens)) + ")"
+    if type(spec) in DERIVED:
+        gens = ", ".join(map(str, spec.gens))
+        return f"{DERIVED[type(spec)]}({print_ring_spec(spec.inner)}; {gens})"
     if isinstance(spec, TableSpec):
         return f"table:{spec.path}"
     raise TypeError(f"not a RingSpec: {spec!r}")
@@ -193,8 +199,11 @@ def _parse_univariate(sc: Scanner, var: str) -> tuple[int, ...]:
     return tuple(terms.get((k,), 0) for k in range(max(terms)[0] + 1))
 
 
-def _parse_spec(sc: Scanner) -> RingSpec:
+def _parse_spec(sc: Scanner, depth: int = 0) -> RingSpec:
+    """Read one spec found inside depth products, quotients and localizations."""
     sc.skip_ws()
+    if depth > MAX_DEPTH:
+        raise ParseError(f"ring spec nested more than {MAX_DEPTH} deep", sc.pos)
     if sc.match("Z/"):
         return Zmod(sc.integer())
     if sc.match("GF("):
@@ -213,25 +222,20 @@ def _parse_spec(sc: Scanner) -> RingSpec:
         sc.expect(")")
         return PolyQuot(p, coeffs, var)
     if sc.match("product("):
-        factors = [_parse_spec(sc)]
+        factors = [_parse_spec(sc, depth + 1)]
         while sc.match(","):
-            factors.append(_parse_spec(sc))
+            factors.append(_parse_spec(sc, depth + 1))
         sc.expect(")")
         if len(factors) < 2:
             raise ParseError("product needs at least two factors", sc.pos)
         return Product(tuple(factors))
-    if sc.match("quotient("):
-        inner = _parse_spec(sc)
-        sc.expect(";")
-        gens = _parse_gens(sc)
-        sc.expect(")")
-        return Quotient(inner, gens)
-    if sc.match("localize("):
-        inner = _parse_spec(sc)
-        sc.expect(";")
-        gens = _parse_gens(sc)
-        sc.expect(")")
-        return LocalizeAt(inner, gens)
+    for derived, keyword in DERIVED.items():
+        if sc.match(keyword + "("):
+            inner = _parse_spec(sc, depth + 1)
+            sc.expect(";")
+            gens = _parse_gens(sc)
+            sc.expect(")")
+            return derived(inner, gens)
     if sc.match("table:"):
         m = _PATH.match(sc.text, sc.pos)
         if not m:

@@ -27,6 +27,7 @@ from ringlab.rings import (
     quotient_ring,
 )
 from ringlab.specs import (
+    MAX_DEPTH,
     LocalizeAt,
     PolyQuot,
     Product,
@@ -298,6 +299,39 @@ def test_cli_overlong_integer_names_its_position(capsys, argv, position):
                             f"-digit limit (at position {position})\n")
 
 
+def _nested(depth: int, head: str, leaf: str, tail: str) -> str:
+    return head * depth + leaf + tail * depth
+
+
+NESTINGS = [("quotient(", "Z/4", "; 0)"), ("localize(", "Z/4", "; 2)"),
+            ("product(", "Z/2", ", Z/2)")]
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+@pytest.mark.parametrize("head, leaf, tail", NESTINGS)
+def test_cli_spec_nested_past_the_limit_names_its_position(capsys, command, head, leaf, tail):
+    # the parser, build and the printer each recurse once per level
+    assert main([command, _nested(MAX_DEPTH + 1, head, leaf, tail)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    position = len(head) * (MAX_DEPTH + 1)
+    assert captured.err == (f"error: ring spec nested more than {MAX_DEPTH} deep"
+                            f" (at position {position})\n")
+
+
+@pytest.mark.parametrize("head, leaf, tail", NESTINGS)
+def test_spec_nested_to_the_limit_parses(head, leaf, tail):
+    text = _nested(MAX_DEPTH, head, leaf, tail)
+    assert print_ring_spec(parse_ring_spec(text)) == text
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_cli_spec_nested_to_the_limit_runs(capsys, command):
+    text = _nested(MAX_DEPTH, "quotient(", "Z/4", "; 0)")
+    assert main([command, text]) == 0
+    assert capsys.readouterr().out.startswith(f"ring {text} (order 4)\n")
+
+
 def test_cli_huge_modulus_names_the_element_bound(capsys):
     # 2^1000000 has 301,030 decimal digits, more than int to str converts
     assert main(["check", "GF(2)[x]/(x^1000000)"]) == 2
@@ -534,4 +568,18 @@ def test_cli_table_entry_not_an_int32(tmp_path, capsys, lines, error):
     assert main(["check", f"table:{path}"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: table file {path}{error}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff", 0),
+    # a lead byte followed by a newline, not a continuation byte
+    (b"2\n0 1 1 0\n0 0 0 1\xe9\n", 17),
+])
+def test_cli_table_file_not_utf8_names_the_offset(tmp_path, capsys, data, offset):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes(data)
+    assert main(["check", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: table file {path}: invalid UTF-8 at byte offset {offset}\n"
     assert captured.out == ""

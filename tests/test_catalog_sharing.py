@@ -1,7 +1,7 @@
 """verify-catalog does each distinct table's work once: one classification
-per table, with only the product check decided per key, quotient tables and
-ideal products memoized on the table data, and the N-pure closure scanned
-over unordered pairs with the witness of the full square."""
+per table, with only the product check decided per key, quotient tables
+memoized on the table data, and the N-pure closure scanned over unordered
+pairs with the witness of the full square."""
 
 from __future__ import annotations
 

@@ -326,8 +326,19 @@ def test_sampled_mode_beyond_lattice_bound():
 
 def test_context_enforces_element_bound():
     r = build(Zmod(12))
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge, match="^order 12 exceeds element bound 8$"):
         RingContext(r, Bounds(element=8))
+
+
+def test_theorem_checks_over_the_pair_bound_name_it():
+    # the pair bound is min(16, lattice bound); Z/18 is within every other
+    report = classify_ring(build(Zmod(18)))
+    skipped = {c.check: c.detail for c in report.theorem_checks if c.status == "skipped"}
+    assert skipped == dict.fromkeys(
+        ["npure_iff_every_power_npure", "npure_closed_under_sum_product_intersection",
+         "power_intersection_implies_npure", "radical_formula_tracks_npure"],
+        {"reason": "order 18 exceeds bound 16"},
+    )
 
 
 def test_classify_ring_report_shape():
