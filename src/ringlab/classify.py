@@ -1169,17 +1169,15 @@ def classify_ring(
     ring: FiniteRing,
     properties: list[str] | None = None,
     bounds: Bounds | None = None,
-    with_theorems: bool = True,
 ) -> PropertyReport:
     """Full battery for one ring: properties, per-ideal purity, theorems."""
     ctx = RingContext(ring, bounds)
     names = [canonical_property(p) for p in properties] if properties else PROPERTY_ORDER
-    needed = PROPERTY_ORDER if with_theorems else names
-    computed = {name: classify_property(ctx, name) for name in needed}
+    computed = {name: classify_property(ctx, name) for name in PROPERTY_ORDER}
     prop_results = {name: computed[name] for name in names}
     universe, sampled = ctx.ideal_universe
     ideal_results = [classify_ideal(ctx, i) for i in universe]
-    checks = verify_theorems(ctx, computed) if with_theorems else []
+    checks = verify_theorems(ctx, computed)
     return PropertyReport(ring, prop_results, ideal_results, sampled, checks)
 
 

@@ -103,12 +103,9 @@ def cmd_check(args) -> int:
     _print_property_lines(ring_doc)
     if ring_doc["ideals"]["items"]:
         n = len(ring_doc["ideals"]["items"])
-        bad = [
-            item for item in ring_doc["ideals"]["items"]
-            if item["npure"]["consistent"] is False
-        ]
+        bad = sum(f["kind"] == "ideal_agreement" for f in doc["aggregate"]["failures"])
         sampled = " (sampled)" if ring_doc["ideals"]["sampled"] else ""
-        print(f"  ideal battery: {n} ideals{sampled}, {len(bad)} agreement failures")
+        print(f"  ideal battery: {n} ideals{sampled}, {bad} agreement failures")
     for check in ring_doc["theorem_checks"]:
         if check["status"] == "fail":
             print(f"  theorem {check['check']}: FAIL {check.get('detail')}")

@@ -228,14 +228,6 @@ class GroebnerBasis:
     generators: list[PolyFp]
     order: MonomialOrder
 
-    @property
-    def p(self) -> int:
-        return self.generators[0].p
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.generators[0].vars
-
 
 def buchberger(gens: list[PolyFp], order: MonomialOrder = LEX) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.

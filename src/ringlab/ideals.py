@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import DEFAULT_LATTICE_BOUND, check_order
 from .errors import ForeignElement, NotAnIdeal, RingMismatch
-from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _row_masks, bits, mask_of
+from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _pair_table, _row_masks, bits, mask_of
 
 
 class Ideal:
@@ -229,19 +229,17 @@ def _lattice_masks(ring: FiniteRing) -> list[int]:
 
     The ideals of R_1 x ... x R_k are exactly the products I_1 x ... x I_k
     (Atiyah-Macdonald, Ch. 1, Ex. 1.22), so a ring built as a product
-    combines its factors' lattices with whole-array operations, the first
-    factor's index most significant as in product_ring.  Any other ring
-    forms every sum of its principal ideals (every ideal is one), by size:
-    each is added to every ideal reached unless reached itself (the sums
-    reached are closed under sums), each sum one _mask_sum.
+    combines its factors' lattices with _pair_table, the first factor's
+    index most significant.  Any other ring forms every sum of its
+    principal ideals (every ideal is one), by size: each is added to every
+    ideal reached unless reached itself (the sums reached are closed under
+    sums), each sum one _mask_sum.
     """
     if ring.factors:
         rows = np.ones((1, 1), dtype=bool)
         for f in ring.factors:
             own = _mask_rows(_sorted_lattice_masks(f), f.order)
-            rows = (rows[:, None, :, None] & own[None, :, None, :]).reshape(
-                rows.shape[0] * own.shape[0], rows.shape[1] * own.shape[1]
-            )
+            rows = _pair_table(rows, own, np.bitwise_and)
         return _row_masks(rows)
     masks = {1 << ring.zero}
     for p in sorted(set(ring.principal_masks), key=_lattice_key):

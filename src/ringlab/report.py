@@ -13,12 +13,13 @@ the writer raise ``TypeError``.
 Reports that share results (``classify_catalog`` gives every ring with the
 same tables the first one's properties and ideal results, and every ring
 with the same key the same theorem checks) share their dicts too: the
-properties and ideals part is built once per table, the theorem checks and
-counts part once per key.  The writer gives the text of ``json.dumps`` with
-sorted keys and compact separators, but in pieces: each value of a ring
-dict is encoded once per object, so a shared part is encoded once, and
-``write_json_atomic`` streams the pieces to a temporary file that is renamed
-into place, so a failed encode leaves no partial file.
+properties and ideals part is built once per table and the theorem checks
+part once per key, while each ring gets its own counts dict.  The writer
+gives the text of ``json.dumps`` with sorted keys and compact separators,
+but in pieces: each value of a ring dict is encoded once per object, so a
+shared part is encoded once, and ``write_json_atomic`` streams the pieces
+to a temporary file that is renamed into place, so a failed encode leaves
+no partial file.
 """
 
 from __future__ import annotations
@@ -168,24 +169,18 @@ def ring_report_dict(report: PropertyReport, parts: dict | None = None
 
 def build_document(reports: list[PropertyReport], bounds: Bounds) -> dict:
     """The report document of ``reports``, in order.  Reports that share
-    all their results (``classify_catalog`` gives each later ring of a key
-    the first one's) are serialized once, each under its own spec; their
-    ring dicts share every value but ``spec``.  Reports that share their
-    properties and ideal results share those dicts."""
+    their properties and ideal results share those dicts, and reports that
+    share their theorem checks (``classify_catalog`` gives each later ring
+    of a key the first one's) share the check dicts; each ring gets its own
+    ring dict and counts."""
     rings = []
     totals = dict.fromkeys(COUNTS, 0)
     failures = []
     # keyed by id(): sound because ``reports`` holds every keyed object
     # until the document is built
     parts: dict = {}
-    serialized: dict[tuple[int, int, int], tuple[dict, list[dict]]] = {}
     for report in reports:
-        results = (id(report.properties), id(report.ideal_results), id(report.theorem_checks))
-        if results in serialized:
-            doc, ring_failures = serialized[results]
-            doc = {**doc, "spec": report.ring.name}
-        else:
-            doc, ring_failures = serialized[results] = ring_report_dict(report, parts)
+        doc, ring_failures = ring_report_dict(report, parts)
         rings.append(doc)
         for key in COUNTS:
             totals[key] += doc["counts"][key]

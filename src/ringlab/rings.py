@@ -97,6 +97,14 @@ def _mask_rows(masks: list[int], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
+def _pair_table(outer: np.ndarray, inner: np.ndarray, combine) -> np.ndarray:
+    """The table of combine(outer[i, k], inner[j, l]) at row
+    i * inner.shape[0] + j and column k * inner.shape[1] + l: index pairs
+    numbered with the outer index most significant."""
+    rows, cols = outer.shape[0] * inner.shape[0], outer.shape[1] * inner.shape[1]
+    return combine(outer[:, None, :, None], inner[None, :, None, :]).reshape(rows, cols)
+
+
 # Miller-Rabin to the prime bases 2..41 decides primality exactly below this
 # (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -689,11 +697,11 @@ def _build_polyquot(spec: specs.PolyQuot, max_order: int) -> FiniteRing:
         raise NonMonic(f"modulus {specs.print_univariate(spec.coeffs, spec.var)} must be monic of degree >= 1")
     n = _power_order(p, d, max_order)
     # element i is sum_t (i // p^t % p) x^t, so (R, +) is (Z/p)^d, built a
-    # digit at a time with the new digit most significant, as in product_ring
+    # digit at a time by _pair_table with the new digit most significant
     zp = np.arange(p, dtype=np.int32)
     add = zp_add = (zp[:, None] + zp) % p
     for w in (p**t for t in range(1, d)):
-        add = (zp_add[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
+        add = _pair_table(zp_add, add, lambda a, b: a * w + b)
     # a * x: the digits below the top shift up one place, and the top digit c
     # adds c * x^d = c * -(f_0 + ... + f_(d-1) x^(d-1)) mod f
     idx = np.arange(n, dtype=np.int32)
@@ -716,15 +724,11 @@ def product_ring(factors: list[FiniteRing], spec: specs.Product) -> FiniteRing:
     add = np.zeros((1, 1), dtype=np.int32)
     mul = np.zeros((1, 1), dtype=np.int32)
     one = 0
-    order = 1
     for f in factors:
         o = f.order
-        add = add[:, None, :, None] * o + f.add_table[None, :, None, :]
-        add = add.reshape(order * o, order * o)
-        mul = mul[:, None, :, None] * o + f.mul_table[None, :, None, :]
-        mul = mul.reshape(order * o, order * o)
+        add = _pair_table(add, f.add_table, lambda a, b: a * o + b)
+        mul = _pair_table(mul, f.mul_table, lambda a, b: a * o + b)
         one = one * o + f.one
-        order *= o
     return FiniteRing(add, mul, one=one, spec=spec, factors=tuple(factors))
 
 
@@ -807,10 +811,12 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
                 raise ParseError(f"table file {spec.path} contains a non-integer token") from None
             # more digits than int() converts: no table entry holds that
             raise ParseError(f"table file {spec.path}: integer {k} does not fit in int32") from None
+        if k == 1:
+            # the declared order, checked before the rest is converted
+            check_order(values[0], max_order)
     if not values:
         raise ParseError(f"table file {spec.path} is empty")
     n = values[0]
-    check_order(n, max_order)
     if n < 2 or len(values) != 1 + 2 * n * n:
         raise ParseError(
             f"table file {spec.path}: expected 1 + 2*N^2 integers for N={n}, got {len(values)}"

@@ -7,6 +7,7 @@ lines; every criterion asserts its stated bound or tolerance directly.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -58,10 +59,7 @@ def _report(line: str) -> None:
 @pytest.fixture(scope="module")
 def catalog48():
     start = time.perf_counter()
-    reports = [
-        classify_ring(ring, bounds=ACCEPTANCE_BOUNDS, with_theorems=False)
-        for ring in default_catalog(48, ACCEPTANCE_BOUNDS)
-    ]
+    reports = classify_catalog(default_catalog(48, ACCEPTANCE_BOUNDS), ACCEPTANCE_BOUNDS)
     elapsed = time.perf_counter() - start
     return reports, elapsed
 
@@ -86,10 +84,15 @@ def test_criterion_1_method_agreement(catalog48):
             if not item.npure.consistent:
                 disagreements.append((report.ring.name, tuple(item.ideal.elems)))
     assert disagreements == []
+    statuses = Counter(c.status for report in reports for c in report.theorem_checks)
+    failed = [(r.ring.name, c.check) for r in reports for c in r.theorem_checks
+              if c.status == "fail"]
+    assert failed == []
     assert elapsed <= 300.0, f"catalog run took {elapsed:.1f}s"
     _report(
         f"ACCEPTANCE 1 PASS: method agreement on {len(reports)} rings "
-        f"(lattice bound 24), 0 disagreements, {elapsed:.1f}s"
+        f"(lattice bound 24), 0 disagreements; theorem checks "
+        f"{statuses['pass']} passed, {statuses['skipped']} skipped, 0 failed; {elapsed:.1f}s"
     )
 
 

@@ -505,6 +505,20 @@ def test_cli_failure_exit_code(monkeypatch, capsys):
     assert "METHODS DISAGREE" in out
 
 
+def test_cli_ideal_battery_line_counts_the_report_failures(monkeypatch, capsys):
+    # every N-purity method says no: the methods agree with each other, but
+    # each pure ideal of Z/6 fails the report's ideal-agreement check
+    from ringlab import classify
+
+    for name in classify.NPURE_METHODS:
+        monkeypatch.setitem(classify.NPURE_METHODS, name,
+                            lambda ctx, ideal, name=name: classify.Verdict(name, False))
+    assert main(["check", "Z/6"]) == 1
+    out = capsys.readouterr().out
+    assert "  ideal battery: 4 ideals, 4 agreement failures\n" in out
+    assert "checks: 34 run, 30 passed, 4 failed" in out
+
+
 def test_cli_table_spec(tmp_path, capsys):
     src = build(Zmod(6))
     path = tmp_path / "z6.tbl"

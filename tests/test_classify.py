@@ -27,7 +27,7 @@ from ringlab.classify import (
 )
 from ringlab.errors import OrderTooLarge
 from ringlab.ideals import all_ideals, ideal_from_generators, unit_ideal, zero_ideal
-from ringlab.report import _results_part, build_document, ring_report_dict
+from ringlab.report import _checks_part, _results_part, build_document, ring_report_dict
 from ringlab.rings import FiniteRing, build, find_isomorphism
 from ringlab.specs import PolyQuot, Product, Quotient, Zmod
 
@@ -568,17 +568,17 @@ def test_verify_catalog_classifies_each_key_once(monkeypatch, capsys):
     from ringlab.cli import main
 
     classified = _count_calls(monkeypatch, classify_ring)
-    serialized = _count_calls(monkeypatch, ring_report_dict)
     results_parts = _count_calls(monkeypatch, _results_part)
+    checks_parts = _count_calls(monkeypatch, _checks_part)
     # a second run classifies every table again: no state outlives a run
     for _ in range(2):
         assert main(["verify-catalog", "--max-order", "16"]) == 0
         assert capsys.readouterr().out.startswith("catalog: 868 rings")
         # 124 keys over 83 distinct tables: one classification and one
-        # properties and ideals part per table, one ring dict per key
+        # properties and ideals part per table, one checks part per key
         assert len(classified) == len(results_parts) == 83
         assert len({ring.tables for ring in classified}) == 83
-        assert len(serialized) == len({r.ring.key for r in serialized}) == 124
+        assert len(checks_parts) == len({id(checks) for checks in checks_parts}) == 124
         classified.clear()
-        serialized.clear()
         results_parts.clear()
+        checks_parts.clear()

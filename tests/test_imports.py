@@ -1,4 +1,5 @@
-"""Every name a ringlab module imports is read in that module."""
+"""Every name a ringlab module imports is read in that module, and every
+module-level private name is read somewhere in the package."""
 
 from __future__ import annotations
 
@@ -39,3 +40,45 @@ def test_unused_imports_finds_each_binding():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions, classes and constants, as
+    "module:name", that no source reads by name, attribute, import or
+    string, sorted."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}:{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
+def test_dead_private_names_finds_each_kind():
+    sources = {
+        "a": "_LIMIT = 3\n_ORDER: int = 2\ndef _f(): pass\nclass _C: pass\n"
+             "def _g(): pass\n_H = 1\ndef __dunder(): pass\n",
+        "b": "from .a import _g\nimport a\nx = a._ORDER\ny = getattr(a, '_H')\n",
+    }
+    assert dead_private_names(sources) == ["a:_C", "a:_LIMIT", "a:_f"]
+
+
+def test_every_private_name_is_read():
+    assert dead_private_names({path.stem: path.read_text(encoding="utf-8")
+                               for path in MODULES}) == []

@@ -260,6 +260,13 @@ def test_build_checks_table_order_before_reading_entries(tmp_path):
     assert build(Zmod(12), 12).order == 12
 
 
+def test_table_order_is_checked_before_later_tokens_are_converted(tmp_path):
+    path = tmp_path / "big.tbl"
+    path.write_text("1000000 x 0 0\n")
+    with pytest.raises(OrderTooLarge, match="^order 1000000 exceeds element bound 200$"):
+        build(TableSpec(str(path)))
+
+
 def test_foreign_element_rejected():
     r1 = build(Zmod(6))
     r2 = build(Zmod(6))
