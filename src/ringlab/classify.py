@@ -27,13 +27,8 @@ other 32 routes return a bare True.  The theorem checks are the ordered
 table THEOREM_CHECKS of ``(check, bound, requires, body)`` rows; a body
 returns None for a pass, a detail dict for a failure or a skip reason.
 Eight checks walk members as first-failure scans ``_scan(family, test)``,
-through the loop the routes use: npure_iff_every_power_npure,
-power_intersection_implies_npure, radical_formula_tracks_npure and
-unique_pure_core over the lattice; pure_ideals_are_npure over the pure
-ideals and then the nilradical; minimal_kernel_radical_recovers_prime over
-the minimal primes and their kernels; and mid_localizations_are_mid and
-quotients_by_pure_ideals_are_mid, one test over the localizations at the
-primes and over the quotients by the proper pure ideals.
+through the loop the routes use, so a failure names its first failing
+member the way a route's does.
 
 An ideal I is *pure* when each a in I has b in I with a(1-b) = 0, and
 *N-pure* when a(1-b) only needs to be nilpotent.  The eight N-purity
@@ -448,10 +443,9 @@ def _npure_finite_subset(ctx: RingContext, ideal: Ideal) -> Verdict:
     elems = ideal.elems
     # the b whose 1 - b lies in every Ann(a^oo): each kills every a of the set
     killed_by_all = reduce(and_, (ring.ann_chains[a][-1] for a in elems), (1 << ring.order) - 1)
-    common = ideal.mask & ring.one_minus_image(killed_by_all)
-    if common:
-        b = (common & -common).bit_length() - 1
-        c = ring.one_minus[b]
+    found, pair = _mask_sum_has_one(ring, ideal.mask, killed_by_all)
+    if found:
+        b, c = pair
         t = max(_min_power_killing(ring, a, c) for a in elems)
         return Verdict("finite_subset", True, {"uniform": [b, t]})
     # no single witness covers the whole ideal: check all subsets of size <= 3

@@ -43,12 +43,6 @@ GREVLEX = MonomialOrder("grevlex", lambda m: (sum(m), tuple(-e for e in reversed
 ORDERS = {order.kind: order for order in (LEX, GREVLEX)}
 
 
-def order_by_name(name: str) -> MonomialOrder:
-    if name not in ORDERS:
-        raise ValueError(f"unknown monomial order {name!r}")
-    return ORDERS[name]
-
-
 class PolyFp:
     """Polynomial over GF(p) as a map from exponent tuples to coefficients."""
 
@@ -275,13 +269,12 @@ def buchberger(gens: list[PolyFp], order: MonomialOrder = LEX) -> GroebnerBasis:
         if any(_divides(h.leading(order)[0], lm) for h in kept):
             continue
         kept.append(g)
-    # tail-reduce each against the others
+    # tail-reduce each against the others: no other leading monomial divides
+    # its own, so each keeps its monic leading term and the basis stays sorted
     reduced = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r = normal_form(g, others, order) if others else g
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+        reduced.append(normal_form(g, others, order))
     return GroebnerBasis(reduced, order)
 
 
@@ -386,17 +379,11 @@ def example1_certificate(p: int) -> Certificate:
     fourth clause certifies x^3 - y*z in (x, z), the containment that
     makes the quotient-by-(x, z) construction a domain.
     """
-    if not is_prime(p):
-        raise CharMismatch(f"{p} is not prime")
-    vars = ("x", "y", "z")
-    x = PolyFp.variable(p, vars, "x")
-    y = PolyFp.variable(p, vars, "y")
-    z = PolyFp.variable(p, vars, "z")
-    cubic = x * x * x - y * z
-    gens = [x, z * z, cubic]
+    x, z2, cubic, y, z, yz = parse_poly_list("x, z^2, x^3 - y*z, y, z, y*z", p, ("x", "y", "z"))
+    gens = [x, z2, cubic]
     gb = buchberger(gens, LEX)
     clauses = [
-        CertificateClause("y*z in ideal", True, ideal_member(y * z, gb)),
+        CertificateClause("y*z in ideal", True, ideal_member(yz, gb)),
         CertificateClause("z not in ideal", False, ideal_member(z, gb)),
         CertificateClause("y not in radical", False, radical_member(y, gens, LEX)),
         CertificateClause(

@@ -791,29 +791,47 @@ def localize_at_mask(
     return local
 
 
-def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
+def _table_text(spec: specs.TableSpec, data: bytes) -> str:
     try:
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-    except OSError as exc:
-        raise ParseError(f"cannot read table file {spec.path}: {exc}") from exc
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"table file {spec.path}: invalid UTF-8 at byte offset {exc.start}"
         ) from None
-    values: list[int] = []
-    for k, token in enumerate(tokens, 1):
-        try:
-            values.append(int(token))
-        except ValueError:
-            digits = token[1:] if token[0] in "+-" else token
-            if not digits.isdecimal():
-                raise ParseError(f"table file {spec.path} contains a non-integer token") from None
-            # more digits than int() converts: no table entry holds that
-            raise ParseError(f"table file {spec.path}: integer {k} does not fit in int32") from None
-        if k == 1:
-            # the declared order, checked before the rest is converted
-            check_order(values[0], max_order)
+
+
+def _table_int(spec: specs.TableSpec, token: str, k: int) -> int:
+    """Token k of a table file, ASCII digits with an optional sign, as an integer."""
+    digits = token[1:] if token[0] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"table file {spec.path} contains a non-integer token")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts: no table entry holds that
+        raise ParseError(f"table file {spec.path}: integer {k} does not fit in int32") from None
+
+
+def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
+    """The ring of a table file.  Its first token, the declared order, is
+    read and checked against max_order before the rest of the file."""
+    try:
+        with open(spec.path, "rb") as fh:
+            data = b""
+            while True:
+                chunk = fh.read(1 << 14)
+                data += chunk
+                # the bytes up to the last ASCII whitespace hold whole tokens only
+                cut = max(map(data.rfind, b" \t\n\v\f\r")) + 1 if chunk else len(data)
+                head = _table_text(spec, data[:cut]).split(maxsplit=1)
+                if head or not chunk:
+                    break
+            if head:
+                check_order(_table_int(spec, head[0], 1), max_order)
+            data += fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read table file {spec.path}: {exc}") from exc
+    tokens = _table_text(spec, data).split()
+    values = [_table_int(spec, token, k) for k, token in enumerate(tokens, 1)]
     if not values:
         raise ParseError(f"table file {spec.path} is empty")
     n = values[0]

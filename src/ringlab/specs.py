@@ -10,6 +10,7 @@ Grammar accepted by :func:`parse_ring_spec`::
     poly := ['+'|'-'] term (('+'|'-') term)*
     term := factor ('*' factor)*
     factor := INT | VAR ['^' INT]
+    INT := [0-9]+
 
 Generators for quotient/localize are element indices of the inner ring
 (for Z/n these coincide with residues).  Specs nest at most MAX_DEPTH
@@ -111,7 +112,7 @@ def print_ring_spec(spec: RingSpec) -> str:
     raise TypeError(f"not a RingSpec: {spec!r}")
 
 
-_INT = re.compile(r"\d+")
+_INT = re.compile(r"[0-9]+")
 _PATH = re.compile(r"[^,;)\s]+")
 
 

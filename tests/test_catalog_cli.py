@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ringlab
+from ringlab.bounds import Bounds
 from ringlab.catalog import default_catalog
 from ringlab.cli import main, make_parser
 from ringlab.errors import ParseError
@@ -597,3 +598,114 @@ def test_cli_table_file_not_utf8_names_the_offset(tmp_path, capsys, data, offset
     captured = capsys.readouterr()
     assert captured.err == f"error: table file {path}: invalid UTF-8 at byte offset {offset}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["check", "Z/４"], 2),
+    (["spectrum", "GF(2)[x]/(x^２ + 1)"], 12),
+    (["spectrum", "quotient(Z/4; ２)"], 14),
+    (["groebner", "-p", "2", "--ideal", "x^２ + １"], 2),
+])
+def test_cli_integers_are_ascii_digits(capsys, argv, position):
+    # a fullwidth digit is a decimal digit to int(), but not an INT of the grammar
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected an integer (at position {position})\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["check", "GF(2)[x]/(y)"], "unknown variable 'y' (at position 10)"),
+    (["check", "GF(2)[1]/(x)"], "expected a variable name (at position 6)"),
+    (["check", "table:"], "expected a file path after table: (at position 6)"),
+    (["check", "localize(Z/4; 1)"], "generators do not give a maximal ideal of Z/4"),
+    (["groebner", "-p", "2", "--ideal", "0"], "need at least one nonzero generator"),
+])
+def test_cli_input_errors_name_their_cause(capsys, argv, error):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_cli_bound_flag_not_an_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "Z/4", "--lattice-bound", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --lattice-bound: invalid int value: 'x'\n")
+
+
+def _planted_theorem_failure(monkeypatch):
+    """mid_implies_mp fails on every ring of order 3 and passes elsewhere."""
+    from ringlab import classify
+
+    def body(ctx, props):
+        return {"mid_ring": True, "mp_ring": False} if ctx.ring.order == 3 else None
+
+    rows = [(c, bound, requires, body if c == "mid_implies_mp" else fn)
+            for c, bound, requires, fn in classify.THEOREM_CHECKS]
+    monkeypatch.setattr(classify, "THEOREM_CHECKS", rows)
+
+
+def test_cli_check_prints_a_failing_theorem(monkeypatch, capsys):
+    _planted_theorem_failure(monkeypatch)
+    assert main(["check", "Z/3"]) == 1
+    out = capsys.readouterr().out
+    assert "  theorem mid_implies_mp: FAIL {'mid_ring': True, 'mp_ring': False}\n" in out
+    assert out.count("theorem") == 1
+    assert out.endswith(" passed, 1 failed, 0 skipped\n")
+
+
+def test_cli_verify_catalog_prints_each_failing_theorem(monkeypatch, capsys):
+    _planted_theorem_failure(monkeypatch)
+    assert main(["verify-catalog", "--max-order", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    threes = [r.name for r in default_catalog(4) if r.order == 3]
+    assert len(threes) == 8
+    assert lines[0].endswith(" passed, 8 failed, 0 skipped")
+    assert lines[1:] == [
+        f"  FAIL {name} theorem:mid_implies_mp {{'mid_ring': True, 'mp_ring': False}}"
+        for name in threes
+    ]
+
+
+def test_catalog_lattice_bound_drops_larger_quotient_sources(capsys):
+    # a source whose lattice is over the bound gives no quotients; the rest
+    # of the catalog is unchanged
+    full = default_catalog(12)
+    bounded = default_catalog(12, Bounds(lattice=8))
+    inner_order = {r.spec: r.order for r in full}
+    dropped = [r.spec for r in full
+               if isinstance(r.spec, Quotient) and inner_order[r.spec.inner] > 8]
+    assert dropped
+    assert [r.spec for r in bounded] == [r.spec for r in full if r.spec not in dropped]
+    assert main(["verify-catalog", "--max-order", "12", "--lattice-bound", "8"]) == 0
+    assert capsys.readouterr().out.startswith(f"catalog: {len(bounded)} rings (max order 12); ")
+
+
+@pytest.mark.parametrize("data, error", [
+    (None, "cannot read table file {0}: [Errno 2] No such file or directory: '{0}'"),
+    (b" \n", "table file {} is empty"),
+    # a fullwidth digit is a decimal digit to int(), but not a table integer
+    ("２\n0 1\n1 0\n0 0\n0 1\n".encode(), "table file {} contains a non-integer token"),
+    (b"9" * 5000 + b" 0 0\n", "table file {}: integer 1 does not fit in int32"),
+    # a first token, or whitespace before it, longer than one read of the file
+    (b"9" * 40000 + b"\n", "table file {}: integer 1 does not fit in int32"),
+    (b" " * 40000 + b"1000000 \xff", "order 1000000 exceeds element bound 200"),
+    (b" " * 40000 + b"2\xe9 0", "table file {}: invalid UTF-8 at byte offset 40001"),
+    # a file that ends inside its first token
+    (b"1000000", "order 1000000 exceeds element bound 200"),
+    (b"2 0 1 1 0 0 0 0 1 \xff", "table file {}: invalid UTF-8 at byte offset 18"),
+], ids=["missing", "empty", "fullwidth-order", "order-of-5000-digits", "long-order",
+        "long-whitespace", "long-whitespace-not-utf8", "ends-in-order", "rest-not-utf8"])
+def test_cli_table_file_errors(tmp_path, capsys, data, error):
+    # the declared order, the first token, is read and checked before the rest
+    path = tmp_path / "head.tbl"
+    if data is not None:
+        path.write_bytes(data)
+    assert main(["check", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.format(path)}\n"

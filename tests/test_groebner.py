@@ -265,6 +265,7 @@ def test_basis_postconditions():
                     assert normal_form(s, basis, order).is_zero()
             # no leading monomial divides another; tails are reduced
             leads = [g.leading(order)[0] for g in basis]
+            assert leads == sorted(leads, key=order.key)
             for i, g in enumerate(basis):
                 for j, lm in enumerate(leads):
                     if i == j:

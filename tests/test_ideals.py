@@ -266,3 +266,17 @@ def test_generators_regenerate_ideal():
         r = build(spec)
         for i in all_ideals(r):
             assert ideal_from_generators(r, i.generators()) == i
+
+
+def test_maximality_above_the_lattice_bound_uses_the_field_test():
+    # Z/12 is over a lattice bound of 8: the answer comes from the cosets,
+    # with no witness, and matches the containment scan's
+    r = _z(12)
+    for i in all_ideals(r):
+        within = is_maximal_ideal(i)
+        above = is_maximal_ideal(i, lattice_bound=8)
+        assert above.value == within.value
+        assert above.witness == (None if i.is_proper else (r.one,))
+    assert [i.elems for i in all_ideals(r) if is_maximal_ideal(i, lattice_bound=8).value] == [
+        (0, 3, 6, 9), (0, 2, 4, 6, 8, 10)
+    ]

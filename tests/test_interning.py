@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ def test_table_data_is_derived_on_first_use():
     # derived once, on the shared data; each ring keeps a reference to it
     assert "ann_masks" in vars(ring.tables)
     assert ring.ann_masks is twin.ann_masks is ring.tables.ann_masks
+
+
+def test_every_derived_table_attribute_is_forwarded_and_listed():
+    # the two hand-kept lists of shared data: FiniteRing's forwarders and SHARED
+    derived = {name for name, attr in vars(rings._Tables).items()
+               if isinstance(attr, cached_property)}
+    assert "mul_rows" in derived
+    ring = _relabelled_z(6)
+    for name in derived:
+        assert isinstance(vars(FiniteRing).get(name), cached_property), name
+        assert getattr(ring, name) is getattr(ring.tables, name), name
+    assert sorted(SHARED) == sorted(derived | {"add_rows"})
 
 
 def test_a_memoized_lattice_keeps_the_bound():

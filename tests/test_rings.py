@@ -8,6 +8,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -265,6 +266,24 @@ def test_table_order_is_checked_before_later_tokens_are_converted(tmp_path):
     path.write_text("1000000 x 0 0\n")
     with pytest.raises(OrderTooLarge, match="^order 1000000 exceeds element bound 200$"):
         build(TableSpec(str(path)))
+
+
+def test_table_order_is_checked_before_the_rest_is_read(tmp_path):
+    # 2 MiB of entries behind an order over the bound, written 32 KiB at a
+    # time: the rejection reads a small head of the file, not all of it
+    path = tmp_path / "huge.tbl"
+    with open(path, "wb") as fh:
+        fh.write(b"1000000")
+        for _ in range(64):
+            fh.write(b" 0" * (1 << 14))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match="^order 1000000 exceeds element bound 200$"):
+            build(TableSpec(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_foreign_element_rejected():

@@ -11,10 +11,13 @@ fail and skip branches either; doctored property verdicts pin those.
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from ringlab import classify
+from ringlab.catalog import default_catalog
 from ringlab.classify import (
     NPURE_METHODS,
     PROPERTY_METHODS,
@@ -24,6 +27,7 @@ from ringlab.classify import (
     RingContext,
     Skipped,
     Verdict,
+    classify_catalog,
     classify_ideal,
     classify_property,
     classify_ring,
@@ -789,3 +793,143 @@ def test_finite_subset_exponent_reads_every_chain():
             continue
         assert NPURE_METHODS["finite_subset"](ctx, ideal).witness == expected, elems
     assert sharp
+
+
+# -- witness branches that no catalog ring reaches --------------------------
+
+
+def test_pure_core_names_every_match():
+    # in Z/12 the radical of (4) is (2); plant two pure cores with that radical
+    ctx = _context(Zmod(12))
+    ideal = ideal_from_generators(ctx.ring, [4])
+    ctx.pure_cores = {radical(ideal).mask: ctx.pure_list[:2]}
+    verdict = NPURE_METHODS["pure_core"](ctx, ideal)
+    assert (verdict.value, verdict.witness) == (
+        False, {"match_count": 2, "matches": [[0], [0, 4, 8]]}
+    )
+    ctx.pure_cores = {}
+    verdict = NPURE_METHODS["pure_core"](ctx, ideal)
+    assert (verdict.value, verdict.witness) == (False, {"match_count": 0, "matches": []})
+
+
+def test_kernel_rows_name_the_prime_and_its_kernel():
+    # a planted kernel {0, 2} at every prime of Z/30: 2(1 - b) is nonzero
+    # for both b in it, so the scan fails at the first prime, (2)
+    ctx = _z30_context(_principal(2, 3, 5), _principal(2), _principal(3))
+    ctx.kernel = lambda p: _set(ctx.ring, [0, 2])
+    verdict = _route("kernels_pure_at_primes")(ctx)
+    assert verdict.value is False
+    assert verdict.witness == {
+        "ideal": list(range(0, 30, 2)), "kernel": [0, 2], "element": 2
+    }
+
+
+def test_local_nj_names_both_radicals():
+    # nil = Jacobson in every finite ring; plant a localization where they differ
+    ctx = _context(Zmod(30))
+    ctx.localization = lambda p: SimpleNamespace(nil_mask=0b1, jacobson_mask=0b101)
+    verdict = _route("localizations_nj_at_primes")(ctx)
+    assert verdict.value is False
+    assert verdict.witness == {
+        "ideal": [0, 5, 10, 15, 20, 25], "local_nil": [0], "local_jacobson": [0, 2]
+    }
+
+
+def test_npure_primes_difference_lists_both_sides():
+    # every prime of Z/30 is N-pure; call (2) and the set {0, 2}, which is
+    # not N-pure, minimal: the difference is {0, 2}, (5) and (3), ascending
+    # by mask
+    ctx = _z30_context(_principal(2, 3, 5),
+                       lambda ring: [*_principal(2)(ring), _set(ring, [0, 2])],
+                       _principal(3))
+    verdict = _route("minimal_primes_exactly_npure")(ctx)
+    assert verdict.value is False
+    assert verdict.witness == {
+        "difference": [[0, 2], list(range(0, 30, 5)), list(range(0, 30, 3))]
+    }
+
+
+def test_pp_composite_names_its_failing_part():
+    # every finite ring is mid; plant a failing mid route on Z/12, which is
+    # not regular either
+    ctx = _context(Zmod(12))
+    ctx._verdicts["annihilators_npure"] = Verdict(
+        "annihilators_npure", False, {"element": 2, "ann_element": 6}
+    )
+    verdict = _route("mid_and_fractions_vnr")(ctx)
+    assert verdict.value is False
+    assert verdict.witness == {
+        "mid": False,
+        "fractions_vnr": False,
+        "mid_witness": {"element": 2, "ann_element": 6},
+        "vnr_witness": {"element": 2},
+    }
+
+
+def test_unique_pure_core_check_passes_an_ideal_that_is_not_npure():
+    # with no pure cores at all, an N-pure ideal fails the check and
+    # {0, 2}, which is not N-pure, passes it
+    body = _theorem("unique_pure_core")
+    ctx = _context(Zmod(6))
+    ctx.pure_cores = {}
+    ctx.lattice = [_set(ctx.ring, [0, 2])]
+    assert body(ctx, {}) is None
+    ctx.lattice = [_set(ctx.ring, [0, 2]), _set(ctx.ring, [0])]
+    assert body(ctx, {}) == {"ideal": [0], "count": 0}
+
+
+# -- counts in prose come from the tables ------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+WORDS = {2: "two", 3: "three", 8: "eight"}
+
+
+def _prose(text: str) -> str:
+    """The text with every run of whitespace, line breaks included, one space."""
+    return " ".join(text.split())
+
+
+def test_prose_counts_match_the_tables():
+    # each ring-level route is a closure made by one of the three shapes
+    shape = {m: fn.__qualname__.split(".")[0]
+             for routes in PROPERTY_METHODS.values() for m, fn in routes}
+    shapes = Counter(shape.values())
+    assert shapes == {"_row": 36, "_choice_route": 3, "_pp_composite": 2}
+    scans = [row[0] for row in THEOREM_CHECKS if row[3].__qualname__.startswith("_scan.")]
+    assert len(scans) == 8
+    assert len(NPURE_METHODS) == 8
+    # over catalog16: the routes that attach a witness to a True verdict,
+    # and every N-purity verdict carries one
+    reports = classify_catalog(default_catalog(16))
+    witnessed = {v.method for r in reports for p in r.properties.values()
+                 for v in p.verdicts if v.value and v.witness is not None}
+    assert all(v.witness is not None for r in reports for i in r.ideal_results
+               for v in i.npure.verdicts)
+    routes, bare = len(shape), len(shape) - len(witnessed)
+    assert (routes, len(witnessed), bare) == (41, 9, 32)
+
+    readme = _prose(README.read_text(encoding="utf-8"))
+    for phrase in (
+        f"from the {WORDS[len(NPURE_METHODS)]} N-purity routes and from {len(witnessed)} "
+        f"of the {routes} ring-level routes (see below); the other {bare} return a bare True",
+        f"the {routes} ring-level routes of `PROPERTY_METHODS` come in "
+        f"{WORDS[len(shapes)]} shapes",
+        f"**First-failure scan**, {shapes['_row']} routes",
+        f"**Choice map**, {shapes['_choice_route']} routes",
+        f"**p.p. composite**, {shapes['_pp_composite']} routes",
+        f"The {WORDS[len(scans)]} checks that walk members are first-failure scans",
+        f"| N-pure ideal | {len(NPURE_METHODS)}: ",
+    ):
+        assert phrase in readme, phrase
+    labels = {"von_neumann_regular": "von Neumann regular", "zero_dimensional": "zero-dimensional",
+              "mp_ring": "mp ring", "mid_ring": "mid ring", "pp_ring": "p.p. ring"}
+    for prop, label in labels.items():
+        assert f"| {label} | {len(PROPERTY_METHODS[prop])}: " in readme, prop
+
+    doc = _prose(classify.__doc__)
+    for phrase in (
+        f"the other {bare} routes return a bare True",
+        f"{WORDS[len(scans)].capitalize()} checks walk members as first-failure scans",
+        f"The {WORDS[len(NPURE_METHODS)]} N-purity routes attach a witness to every verdict",
+    ):
+        assert phrase in doc, phrase
