@@ -75,7 +75,6 @@ from .ideals import (
     ideal_product,
     ideal_sum,
     is_primary_ideal,
-    jacobson_radical,
     nilradical,
     power_intersection_hypothesis,
     radical,
@@ -170,9 +169,11 @@ class RingContext:
     Lattice, spectrum, pure ideals, pure spectrum, pure cores (radical mask
     -> the pure ideals with that radical), reduction, Jacobson radical,
     ideal universe and the element classes (by annihilator chain, by stable
-    annihilator) are cached properties.  The lattice is enumerated here only.
-    Kernels are kept per prime and localization contexts per nonzero kernel,
-    which quotient(I) reads when I is one; R/(0) is the context itself.
+    annihilator) are cached properties.  The lattice is enumerated here only;
+    the ideal universe is that lattice wherever all_ideals's bound admits it,
+    and the Jacobson radical is ring.jacobson_mask at every order.  Kernels
+    are kept per prime and localization contexts per nonzero kernel, which
+    quotient(I) reads when I is one; R/(0) is the context itself.
     verdict(method) decides each ring-level route once for every reader.
     """
 
@@ -262,18 +263,17 @@ class RingContext:
 
     @cached_property
     def jacobson(self) -> Ideal:
-        if self.ring.order <= self.bounds.lattice:
-            return jacobson_radical(self.ring, self.spectrum.maximal)
         return Ideal(self.ring, self.ring.jacobson_mask)
 
     @cached_property
     def ideal_universe(self) -> tuple[list[Ideal], bool]:
-        """Full lattice within the bound; above it a deterministic sample:
-        principal ideals, the nil and Jacobson radicals, and pairwise sums
-        of distinct principal ideals."""
-        ring = self.ring
-        if ring.order <= self.bounds.lattice:
+        """The lattice, when all_ideals enumerates it; else a deterministic
+        sample: principal ideals, the nil and Jacobson radicals, and pairwise
+        sums of distinct principal ideals."""
+        try:
             return self.lattice, False
+        except OrderTooLarge:
+            ring = self.ring
         masks = {1 << ring.zero, ring.nil_mask, self.jacobson.mask}
         principals = sorted(set(ring.principal_masks))
         masks.update(principals)

@@ -14,7 +14,7 @@ import sys
 from .bounds import Bounds
 from .catalog import default_catalog
 from .classify import RingContext, classify_catalog, classify_ring, npure_primes
-from .errors import RingLabError
+from .errors import OrderTooLarge, RingLabError
 from .groebner import (
     ORDERS,
     buchberger,
@@ -145,9 +145,9 @@ def cmd_spectrum(args) -> int:
     print(f"  minimal: {fmt(spect.minimal)}")
     print(f"  maximal: {fmt(spect.maximal)}")
     print(f"  npure  : {fmt(npure_primes(ctx))}")
-    if ring.order <= bounds.spp:
+    try:
         print(f"  spp    : {fmt(ctx.pure_spectrum.members)}")
-    else:
+    except OrderTooLarge:
         print(f"  spp    : skipped (order {ring.order} exceeds spp bound {bounds.spp})")
     return 0
 

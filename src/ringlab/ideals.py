@@ -6,7 +6,8 @@ intersection, radical and annihilator cheap exact set computations.  An
 ideal is its mask (its element tuple is built on first read), and every
 sum of ideals goes through one coset kernel, rings._mask_sum.  The lattice
 of a ring built as a product is formed from its factors' lattices, under
-the same lattice bound on the product's own order.
+the same lattice bound on the product's own order.  That bound gates
+all_ideals alone; is_maximal_ideal and radical answer at every order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DEFAULT_LATTICE_BOUND, check_order
-from .errors import ForeignElement, NotAnIdeal, RingMismatch
+from .errors import ForeignElement, NotAnIdeal, OrderTooLarge, RingMismatch
 from .rings import Element, FiniteRing, _mask_rows, _mask_sum, _pair_table, _row_masks, bits, mask_of
 
 
@@ -141,7 +142,7 @@ def _purity_scan(ring: FiniteRing, mask: int, nil: bool) -> tuple[bool, list[lis
     got = ring.scan_memo.get(key)
     if got is not None:
         return got
-    witnesses = ring.npure_witnesses if nil else ring.pure_witnesses
+    witnesses = ring.purity_witnesses[nil]
     choices = []
     for a in bits(mask):
         w = witnesses[a] & mask
@@ -176,12 +177,8 @@ def ideal_power(i: Ideal, n: int) -> tuple[Ideal, int]:
 
 
 def radical(i: Ideal) -> Ideal:
-    """{a : some power of a lies in I}, read off the power-reach masks and
-    memoized by mask on the ring's table data."""
-    memo, mask = i.ring.tables.radicals, i.mask
-    if mask not in memo:
-        memo[mask] = mask_of(a for a, m in enumerate(i.ring.power_masks) if m & mask)
-    return Ideal(i.ring, memo[mask])
+    """{a : some power of a lies in I}, from the ring's memoized radical_mask."""
+    return Ideal(i.ring, i.ring.tables.radical_mask(i.mask))
 
 
 def annihilator(ring: FiniteRing, target: int | Element | Ideal) -> Ideal:
@@ -310,18 +307,20 @@ def is_maximal_ideal(
 ) -> PrimalityResult:
     """Proper with no proper ideal strictly above it.
 
-    Within the lattice bound the definition is checked by containment scan;
-    above it the equivalent cosets-form-a-field test is used.
+    Where all_ideals gives the lattice the definition is checked by
+    containment scan; above its bound, by the cosets-form-a-field test.
     """
     ring = i.ring
     if not i.is_proper:
         return PrimalityResult(False, (ring.one,))
-    if ring.order <= lattice_bound:
-        for j in all_ideals(ring, lattice_bound):
-            if j.is_proper and j.mask != i.mask and j.contains_ideal(i):
-                return PrimalityResult(False, tuple(j.elems))
-        return PrimalityResult(True)
-    return PrimalityResult(ring.is_maximal_mask(i.mask))
+    try:
+        lattice = all_ideals(ring, lattice_bound)
+    except OrderTooLarge:
+        return PrimalityResult(ring.is_maximal_mask(i.mask))
+    for j in lattice:
+        if j.is_proper and j.mask != i.mask and j.contains_ideal(i):
+            return PrimalityResult(False, tuple(j.elems))
+    return PrimalityResult(True)
 
 
 def nilradical(ring: FiniteRing) -> Ideal:
@@ -330,12 +329,8 @@ def nilradical(ring: FiniteRing) -> Ideal:
 
 
 def jacobson_radical(ring: FiniteRing, maximal: list[Ideal]) -> Ideal:
-    """Intersection of the given maximal ideals of the ring.
-
-    Above the lattice bound, where the maximal ideals are not enumerated,
-    ring.jacobson_mask gives the same set by the element-level
-    characterization {a : 1 - ab is a unit for all b}.
-    """
+    """Intersection of the given maximal ideals: the definition, against
+    which tests check ring.jacobson_mask, the set RingContext.jacobson reads."""
     mask = (1 << ring.order) - 1
     for m in maximal:
         mask &= m.mask

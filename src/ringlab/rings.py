@@ -24,6 +24,7 @@ are memos of radicals and quotient tables by ideal mask.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from functools import cached_property
 from operator import attrgetter
@@ -326,11 +327,11 @@ class _Tables:
     multiplication rows, negation, power reach, annihilator, principal-ideal
     and special-element masks, the annihilator chains (a chain's length and
     last term are its exponent and stable annihilator), 1 - b, and for each
-    a the bitmasks of the b with a(1-b) zero or nilpotent), and the memos
-    the deciders fill: purity scans, the images {1 - v : v in J}, radicals,
-    primary witnesses and quotient tables by ideal mask, and the sorted
-    ideal lattice.  It refers to no ring, and its quotient memo holds
-    arrays only, so it is freed with the last ring that holds it.
+    a the bitmasks of the b with a(1-b) zero or nilpotent, from one gather),
+    and the memos the deciders fill: purity scans, the images {1 - v : v in
+    J}, radicals, primary witnesses and quotient tables by ideal mask, and
+    the sorted ideal lattice.  It refers to no ring, and its quotient memo
+    holds arrays only, so it is freed with the last ring that holds it.
     """
 
     def __init__(self, key: tuple, add_rows: list[list[int]]):
@@ -344,11 +345,11 @@ class _Tables:
         # plain nested lists are noticeably faster than ndarray scalar access
         # in the exhaustive scans that dominate this package
         self.add_rows = add_rows
-        # ideals._purity_scan results by (mask, nil); one_minus_image, radical
-        # and is_primary_ideal's first bad pair by mask
+        # ideals._purity_scan results by (mask, nil); one_minus_image,
+        # radical_mask and is_primary_ideal's first bad pair by mask
         self.scan_memo: dict[tuple[int, bool], tuple[bool, list[list[int]] | int]] = {}
         self._one_minus_images: dict[int, int] = {}
-        self.radicals: dict[int, int] = {}
+        self._radicals: dict[int, int] = {}
         self.primary_pairs: dict[int, tuple[int, int] | None] = {}
         # ideal mask -> (coset of each element, quotient add, mul, one)
         self.quotients: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
@@ -416,27 +417,28 @@ class _Tables:
 
     @cached_property
     def nil_mask(self) -> int:
-        """Bitmask of the nilpotent elements (the nilradical as a set)."""
-        return mask_of(a for a, m in enumerate(self.power_masks) if m & 1)
+        """Bitmask of the nilpotent elements: the nilradical, the radical of (0)."""
+        return self.radical_mask(1 << self.zero)
 
     @cached_property
-    def pure_witnesses(self) -> list[int]:
-        """pure_witnesses[a] is the bitmask of {b : a(1-b) = 0}."""
-        return _row_masks(self.mul_table[:, self.one_minus] == self.zero)
-
-    @cached_property
-    def npure_witnesses(self) -> list[int]:
-        """npure_witnesses[a] is the bitmask of {b : a(1-b) is nilpotent}."""
+    def purity_witnesses(self) -> tuple[list[int], list[int]]:
+        """purity_witnesses[nil][a] is the bitmask of {b : a(1-b) = 0}, or
+        with nil of {b : a(1-b) is nilpotent}, both from one gather."""
+        products = self.mul_table[:, self.one_minus]
         nil = _mask_rows([self.nil_mask], self.order)[0]
-        return _row_masks(nil[self.mul_table[:, self.one_minus]])
+        return _row_masks(products == self.zero), _row_masks(nil[products])
 
     def one_minus_image(self, mask: int) -> int:
         """The bitmask of {1 - v : v in the set}, memoized by mask."""
-        got = self._one_minus_images.get(mask)
-        if got is None:
-            one_minus = self.one_minus
-            got = self._one_minus_images[mask] = mask_of(one_minus[v] for v in bits(mask))
-        return got
+        if mask not in self._one_minus_images:
+            self._one_minus_images[mask] = mask_of(self.one_minus[v] for v in bits(mask))
+        return self._one_minus_images[mask]
+
+    def radical_mask(self, mask: int) -> int:
+        """The bitmask of {a : some power of a lies in the set}, memoized by mask."""
+        if mask not in self._radicals:
+            self._radicals[mask] = mask_of(a for a, m in enumerate(self.power_masks) if m & mask)
+        return self._radicals[mask]
 
     @cached_property
     def unit_mask(self) -> int:
@@ -444,11 +446,8 @@ class _Tables:
 
     @cached_property
     def jacobson_mask(self) -> int:
-        """Bitmask of {a : 1 - a*b is a unit for every b}.
-
-        Element-level characterization of the intersection of all maximal
-        ideals; available regardless of any lattice bound.
-        """
+        """Bitmask of {a : 1 - a*b is a unit for every b}: the Jacobson radical,
+        by its element-level characterization, at every order."""
         units = _mask_rows([self.unit_mask], self.order)[0]
         one_minus = np.asarray(self.one_minus)
         return _row_masks(units[one_minus[self.mul_table]].all(axis=1))[0]
@@ -520,8 +519,7 @@ class FiniteRing:
     one_minus = _shared("one_minus")
     ann_chains = _shared("ann_chains")
     nil_mask = _shared("nil_mask")
-    pure_witnesses = _shared("pure_witnesses")
-    npure_witnesses = _shared("npure_witnesses")
+    purity_witnesses = _shared("purity_witnesses")
     one_minus_image = _shared("one_minus_image")
     unit_mask = _shared("unit_mask")
     jacobson_mask = _shared("jacobson_mask")
@@ -632,8 +630,7 @@ class FiniteRing:
         is invertible modulo it."""
         if (ideal_mask >> self.one) & 1:
             return False
-        to_one = self.add_rows[self.one]
-        one_plus = mask_of(to_one[i] for i in bits(ideal_mask))
+        one_plus = self.one_minus_image(ideal_mask)  # 1 - I = 1 + I for an ideal I
         return all(
             m & one_plus
             for a, m in enumerate(self.principal_masks)
@@ -791,12 +788,15 @@ def localize_at_mask(
     return local
 
 
-def _table_text(spec: specs.TableSpec, data: bytes) -> str:
+_HEAD_CHARS = 1 + sys.int_info.default_max_str_digits  # a sign and int()'s most digits
+
+
+def _table_text(spec: specs.TableSpec, data: bytes, start: int) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
-            f"table file {spec.path}: invalid UTF-8 at byte offset {exc.start}"
+            f"table file {spec.path}: invalid UTF-8 at byte offset {start + exc.start}"
         ) from None
 
 
@@ -816,21 +816,25 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
     read and checked against max_order before the rest of the file."""
     try:
         with open(spec.path, "rb") as fh:
-            data = b""
+            start, data = 0, b""  # data is the file from byte offset start
             while True:
                 chunk = fh.read(1 << 14)
                 data += chunk
                 # the bytes up to the last ASCII whitespace hold whole tokens only
                 cut = max(map(data.rfind, b" \t\n\v\f\r")) + 1 if chunk else len(data)
-                head = _table_text(spec, data[:cut]).split(maxsplit=1)
+                head = _table_text(spec, data[:cut], start).split(maxsplit=1)
                 if head or not chunk:
+                    break
+                start, data = start + cut, data[cut:]  # whitespace only: not kept
+                if len(data) > _HEAD_CHARS:  # too long to convert: _table_int rejects it
+                    head = [data[: _HEAD_CHARS + 1].decode("utf-8", "replace")]
                     break
             if head:
                 check_order(_table_int(spec, head[0], 1), max_order)
             data += fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read table file {spec.path}: {exc}") from exc
-    tokens = _table_text(spec, data).split()
+    tokens = _table_text(spec, data, start).split()
     values = [_table_int(spec, token, k) for k, token in enumerate(tokens, 1)]
     if not values:
         raise ParseError(f"table file {spec.path} is empty")

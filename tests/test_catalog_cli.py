@@ -233,6 +233,21 @@ def test_cli_spectrum(capsys):
     assert "exceeds lattice bound 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["spectrum", "Z/32"], "skipped (order 32 exceeds spp bound 24)"),
+    (["spectrum", "Z/12", "--spp-bound", "11"], "skipped (order 12 exceeds spp bound 11)"),
+    (["spectrum", "Z/12"], "(0 4 8), (0 3 6 9), (0 2 4 6 8 10)"),
+    # at the bound, and above the default once the bound is raised
+    (["spectrum", "Z/24"], "(0 8 16), (0 4 8 12 16 20), (0 3 6 9 12 15 18 21), "
+                           "(0 2 4 6 8 10 12 14 16 18 20 22)"),
+    (["spectrum", "Z/32", "--spp-bound", "32"], "(0), (0 16), (0 8 16 24), "
+     "(0 4 8 12 16 20 24 28), (0 2 4 6 8 10 12 14 16 18 20 22 24 26 28 30)"),
+])
+def test_cli_spectrum_spp_line(capsys, argv, line):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"  spp    : {line}"
+
+
 def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
     # one parser serves every call of main in a process; each call must print
     # what a freshly built parser prints, so no flag or default carries over

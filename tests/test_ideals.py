@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from ringlab.bounds import Bounds
+from ringlab.catalog import default_catalog
 from ringlab.classify import RingContext
 from ringlab.errors import OrderTooLarge, RingMismatch
 from ringlab.ideals import (
@@ -231,13 +231,17 @@ def test_jacobson_examples():
     assert nilradical(build(PolyQuot(2, (0, 0, 1)))).elems == (0, 2)
 
 
-def test_jacobson_unit_characterization_fallback():
-    # forcing the element-level fallback must give the lattice answer
+def test_jacobson_mask_is_the_intersection_of_the_maximal_ideals():
+    # RingContext.jacobson reads the element-level mask at every order; the
+    # definition, the intersection of the maximal ideals, must give that set
     specs = [Zmod(n) for n in (6, 12, 16, 30)]
     specs += [Product((Zmod(4), Zmod(9))), PolyQuot(2, (0, 0, 0, 1)), PolyQuot(3, (1, 0, 1))]
-    for spec in specs:
-        r = build(spec)
-        assert RingContext(r, Bounds(lattice=2)).jacobson == RingContext(r).jacobson
+    tables = {r.tables: r for r in default_catalog(16)}
+    rings = [build(spec) for spec in specs] + list(tables.values())
+    assert len(tables) == 83
+    for r in rings:
+        by_definition = jacobson_radical(r, spectrum(all_ideals(r)).maximal)
+        assert by_definition == Ideal(r, r.jacobson_mask) == RingContext(r).jacobson, r.name
 
 
 def test_power_intersection_hypothesis():
@@ -250,7 +254,6 @@ def test_power_intersection_hypothesis():
 
 
 def test_power_intersection_implies_npure():
-    from ringlab.catalog import default_catalog
     from ringlab.classify import is_npure
 
     for r in default_catalog(16):

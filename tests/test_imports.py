@@ -1,5 +1,6 @@
-"""Every name a ringlab module imports is read in that module, and every
-module-level private name is read somewhere in the package."""
+"""Every name a ringlab module imports is read in that module, every
+module-level private name is read somewhere in the package, and no module
+compares an order with the lattice or spp bound outside bounds.check_order."""
 
 from __future__ import annotations
 
@@ -82,3 +83,40 @@ def test_dead_private_names_finds_each_kind():
 def test_every_private_name_is_read():
     assert dead_private_names({path.stem: path.read_text(encoding="utf-8")
                                for path in MODULES}) == []
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def bound_comparisons(source: str) -> list[int]:
+    """The lines of the comparisons that set an order against the lattice or
+    spp bound by hand.  bounds.check_order, the one place that decides
+    whether an order is over a bound, compares with its `bound` parameter
+    and so is never listed."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [_identifiers(side) for side in (node.left, *node.comparators)]
+            orders = {k for k, names in enumerate(sides) if any(n.endswith("order") for n in names)}
+            caps = {k for k, names in enumerate(sides)
+                    if any("lattice" in n.lower() or "spp" in n.lower() for n in names)}
+            if any(k != j for k in orders for j in caps):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_bound_comparisons_finds_each_form():
+    source = ("if ring.order <= self.bounds.lattice:\n    pass\n"
+              "ok = bounds.spp >= order\nx = n <= DEFAULT_LATTICE_BOUND < max_order\n"
+              "y = ring.order > bounds.element\nz = min(b.spp, b.lattice)\n"
+              "w = len(lattice) > 2\ncheck_order(ring.order, bounds.lattice)\n")
+    assert bound_comparisons(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_check_order_gates_the_lattice_and_spp_bounds(path):
+    # all_ideals and RingContext.pure_spectrum gate through check_order; a
+    # caller reads the enumeration and handles OrderTooLarge
+    assert bound_comparisons(path.read_text(encoding="utf-8")) == []

@@ -31,8 +31,7 @@ SHARED = (
     "one_minus",
     "ann_chains",
     "nil_mask",
-    "pure_witnesses",
-    "npure_witnesses",
+    "purity_witnesses",
     "unit_mask",
     "jacobson_mask",
     "idempotents",
@@ -52,7 +51,7 @@ def _fresh(ring: FiniteRing) -> rings._Tables:
 
 def _scan(tables: rings._Tables, mask: int, nil: bool) -> tuple:
     """ideals._purity_scan's result, recomputed from the witness sets."""
-    witnesses = tables.npure_witnesses if nil else tables.pure_witnesses
+    witnesses = tables.purity_witnesses[nil]
     choices = []
     for a in bits(mask):
         w = witnesses[a] & mask

@@ -27,6 +27,7 @@ from ringlab.errors import (
     NotMaximal,
     OrderTooLarge,
     ParseError,
+    RingLabError,
 )
 from ringlab.groebner import LEX, PolyFp, normal_form
 from ringlab.rings import (
@@ -213,8 +214,7 @@ REFERENCE = {
     "unit_mask": lambda r: mask_of(a for a in range(r.order) if _is_unit(r, a)),
     "jacobson_mask": _jacobson,
     "idempotents": lambda r: [a for a in range(r.order) if r.mul_rows[a][a] == a],
-    "pure_witnesses": lambda r: _witnesses(r, {r.zero}),
-    "npure_witnesses": lambda r: _witnesses(r, _nilpotents(r)),
+    "purity_witnesses": lambda r: (_witnesses(r, {r.zero}), _witnesses(r, _nilpotents(r))),
 }
 
 
@@ -268,21 +268,30 @@ def test_table_order_is_checked_before_later_tokens_are_converted(tmp_path):
         build(TableSpec(str(path)))
 
 
-def test_table_order_is_checked_before_the_rest_is_read(tmp_path):
-    # 2 MiB of entries behind an order over the bound, written 32 KiB at a
-    # time: the rejection reads a small head of the file, not all of it
+@pytest.mark.parametrize("head, fill, tail, error", [
+    (b"1000000", b" 0", b"", "order 1000000 exceeds element bound 200"),
+    (b"", b"9", b"", "table file {}: integer 1 does not fit in int32"),
+    (b"", b" ", b"1000000 0", "order 1000000 exceeds element bound 200"),
+], ids=["entries-after-order", "whitespace-free-order", "whitespace-before-order"])
+def test_table_order_is_checked_before_the_rest_is_read(tmp_path, head, fill, tail, error):
+    # 2 MiB, written 32 KiB at a time, of entries behind an order over the
+    # bound, of one first token or of whitespace before it: the rejection
+    # reads a small head of the file, and keeps neither the whitespace nor
+    # more of the token than an integer can have
     path = tmp_path / "huge.tbl"
     with open(path, "wb") as fh:
-        fh.write(b"1000000")
+        fh.write(head)
         for _ in range(64):
-            fh.write(b" 0" * (1 << 14))
+            fh.write(fill * ((1 << 15) // len(fill)))
+        fh.write(tail)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderTooLarge, match="^order 1000000 exceeds element bound 200$"):
+        with pytest.raises(RingLabError) as caught:
             build(TableSpec(str(path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert str(caught.value) == error.format(path)
     assert peak < 1 << 20
 
 
