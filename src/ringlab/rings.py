@@ -23,6 +23,7 @@ are memos of radicals and quotient tables by ideal mask.
 
 from __future__ import annotations
 
+import codecs
 import math
 import sys
 import weakref
@@ -430,9 +431,11 @@ class _Tables:
 
     def one_minus_image(self, mask: int) -> int:
         """The bitmask of {1 - v : v in the set}, memoized by mask."""
-        if mask not in self._one_minus_images:
-            self._one_minus_images[mask] = mask_of(self.one_minus[v] for v in bits(mask))
-        return self._one_minus_images[mask]
+        got = self._one_minus_images.get(mask)
+        if got is None:
+            one_minus = self.one_minus
+            got = self._one_minus_images[mask] = mask_of(one_minus[v] for v in bits(mask))
+        return got
 
     def radical_mask(self, mask: int) -> int:
         """The bitmask of {a : some power of a lies in the set}, memoized by mask."""
@@ -630,7 +633,8 @@ class FiniteRing:
         is invertible modulo it."""
         if (ideal_mask >> self.one) & 1:
             return False
-        one_plus = self.one_minus_image(ideal_mask)  # 1 - I = 1 + I for an ideal I
+        to_one = self.add_rows[self.one]
+        one_plus = mask_of(to_one[i] for i in bits(ideal_mask))
         return all(
             m & one_plus
             for a, m in enumerate(self.principal_masks)
@@ -791,9 +795,11 @@ def localize_at_mask(
 _HEAD_CHARS = 1 + sys.int_info.default_max_str_digits  # a sign and int()'s most digits
 
 
-def _table_text(spec: specs.TableSpec, data: bytes, start: int) -> str:
+def _table_text(spec: specs.TableSpec, data: bytes, start: int, final: bool = True) -> str:
+    """data, the table file from byte offset start, as text; unless final,
+    a character that data cuts short at its end is left out."""
     try:
-        return data.decode("utf-8")
+        return codecs.getincrementaldecoder("utf-8")().decode(data, final)
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"table file {spec.path}: invalid UTF-8 at byte offset {start + exc.start}"
@@ -825,10 +831,14 @@ def _build_table(spec: specs.TableSpec, max_order: int) -> FiniteRing:
                 head = _table_text(spec, data[:cut], start).split(maxsplit=1)
                 if head or not chunk:
                     break
-                start, data = start + cut, data[cut:]  # whitespace only: not kept
-                if len(data) > _HEAD_CHARS:  # too long to convert: _table_int rejects it
-                    head = [data[: _HEAD_CHARS + 1].decode("utf-8", "replace")]
+                # other whitespace may end the first token; what precedes it is not kept
+                text = _table_text(spec, data, start, final=False)
+                rest = text.lstrip()
+                if len(rest) > _HEAD_CHARS:  # the whole first token, or more than int() converts
+                    head = rest.split(maxsplit=1)[:1]
                     break
+                skip = len(text[: len(text) - len(rest)].encode())
+                start, data = start + skip, data[skip:]
             if head:
                 check_order(_table_int(spec, head[0], 1), max_order)
             data += fh.read()

@@ -27,7 +27,6 @@ from ringlab.errors import (
     NotMaximal,
     OrderTooLarge,
     ParseError,
-    RingLabError,
 )
 from ringlab.groebner import LEX, PolyFp, normal_form
 from ringlab.rings import (
@@ -268,12 +267,14 @@ def test_table_order_is_checked_before_later_tokens_are_converted(tmp_path):
         build(TableSpec(str(path)))
 
 
-@pytest.mark.parametrize("head, fill, tail, error", [
-    (b"1000000", b" 0", b"", "order 1000000 exceeds element bound 200"),
-    (b"", b"9", b"", "table file {}: integer 1 does not fit in int32"),
-    (b"", b" ", b"1000000 0", "order 1000000 exceeds element bound 200"),
-], ids=["entries-after-order", "whitespace-free-order", "whitespace-before-order"])
-def test_table_order_is_checked_before_the_rest_is_read(tmp_path, head, fill, tail, error):
+@pytest.mark.parametrize("head, fill, tail, error, message", [
+    (b"1000000", b" 0", b"", OrderTooLarge, "order 1000000 exceeds element bound 200"),
+    (b"", b"9", b"", ParseError, "table file {}: integer 1 does not fit in int32"),
+    (b"", b" ", b"1000000 0", OrderTooLarge, "order 1000000 exceeds element bound 200"),
+    (b"", "\u3000".encode(), b"1000000 0", OrderTooLarge, "order 1000000 exceeds element bound 200"),
+], ids=["entries-after-order", "whitespace-free-order", "whitespace-before-order",
+        "unicode-whitespace-before-order"])
+def test_table_order_is_checked_before_the_rest_is_read(tmp_path, head, fill, tail, error, message):
     # 2 MiB, written 32 KiB at a time, of entries behind an order over the
     # bound, of one first token or of whitespace before it: the rejection
     # reads a small head of the file, and keeps neither the whitespace nor
@@ -286,12 +287,12 @@ def test_table_order_is_checked_before_the_rest_is_read(tmp_path, head, fill, ta
         fh.write(tail)
     tracemalloc.start()
     try:
-        with pytest.raises(RingLabError) as caught:
+        with pytest.raises(error) as caught:
             build(TableSpec(str(path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(caught.value) == error.format(path)
+    assert str(caught.value) == message.format(path)
     assert peak < 1 << 20
 
 
@@ -359,16 +360,23 @@ def test_localization_is_local():
             assert loc.local_maximal_mask() is not None
 
 
-def test_table_format_roundtrip(tmp_path):
-    src = build(Zmod(6))
-    path = tmp_path / "z6.tbl"
-    lines = ["6"]
+@pytest.mark.parametrize("n, sep", [(6, None), (60, "\u3000"), (60, "\x1f"), (60, "\xa0")])
+def test_table_format_roundtrip(tmp_path, n, sep):
+    # rows on lines, or each token ended by one non-ASCII whitespace
+    # character: Z/60's file then has no ASCII whitespace and is longer
+    # than one read of it and than the most characters an integer can have
+    src = build(Zmod(n))
+    path = tmp_path / "ring.tbl"
+    lines = [str(n)]
     lines += [" ".join(map(str, row)) for row in src.add_rows]
     lines += [" ".join(map(str, row)) for row in src.mul_rows]
-    path.write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    path.write_text(text if sep is None else text.replace(" ", sep).replace("\n", sep), "utf-8")
+    assert sep is None or path.stat().st_size > 1 << 14
     r = build(TableSpec(str(path)))
-    assert r.order == 6
+    assert r.order == n
     assert find_isomorphism(r, src) is not None
+    assert (r.add_rows, r.mul_rows) == (src.add_rows, src.mul_rows)
 
 
 def test_table_format_rejects_broken_axioms(tmp_path):
